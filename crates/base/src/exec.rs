@@ -1,6 +1,6 @@
 //! A small, dependency-free async executor for the TLE runtime.
 //!
-//! The async entry points (`critical_async` and friends in `tle-core`) turn
+//! The async terminals (`run_async` and `try_run_async` in `tle-core`) turn
 //! every blocking edge of the TM kernels into `Poll::Pending` + a re-armed
 //! [`Waker`]; this module supplies the thing that polls them: a fixed pool
 //! of worker threads sharing one injector queue, a binary-heap timer wheel
@@ -318,32 +318,14 @@ impl Exec {
         JoinHandle { shared }
     }
 
-    /// Drive `fut` to completion on the *calling* thread. The caller parks
-    /// between polls (it is not a worker, so OS parking is legal); timers
-    /// armed by the future fire on the workers. The executor handle is
-    /// installed for the duration so nested timed waits find the wheel.
+    /// Drive `fut` to completion on the *calling* thread with
+    /// [`park::block_on`]: the caller parks between polls (it is not a
+    /// worker, so OS parking is legal); timers armed by the future fire on
+    /// the workers. The executor handle is installed for the duration so
+    /// nested timed waits find the wheel.
     pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
-        let prev = set_current(Some(self.handle()));
-        let restore = RestoreCurrent(prev);
-        let parker = Arc::new(ThreadParker {
-            thread: std::thread::current(),
-            notified: AtomicBool::new(false),
-        });
-        let waker = Waker::from(Arc::clone(&parker));
-        let mut cx = Context::from_waker(&waker);
-        let mut fut = std::pin::pin!(fut);
-        let out = loop {
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(v) => break v,
-                Poll::Pending => {
-                    while !parker.notified.swap(false, Ordering::AcqRel) {
-                        std::thread::park();
-                    }
-                }
-            }
-        };
-        drop(restore);
-        out
+        let _restore = RestoreCurrent(set_current(Some(self.handle())));
+        park::block_on(fut)
     }
 }
 
@@ -353,22 +335,6 @@ struct RestoreCurrent(Option<Handle>);
 impl Drop for RestoreCurrent {
     fn drop(&mut self) {
         set_current(self.0.take());
-    }
-}
-
-/// `block_on`'s waker: unpark the blocked thread.
-struct ThreadParker {
-    thread: std::thread::Thread,
-    notified: AtomicBool,
-}
-
-impl Wake for ThreadParker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.notified.store(true, Ordering::Release);
-        self.thread.unpark();
     }
 }
 

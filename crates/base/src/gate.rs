@@ -15,7 +15,7 @@
 //!
 //! ## Waker-driven entry
 //!
-//! The async runner (`critical_async` in `tle-core`) must not spin-or-yield
+//! The async terminals (`run_async` in `tle-core`) must not spin-or-yield
 //! an executor worker while the gate is closed, so the gate also exposes
 //! non-blocking and pollable forms: [`Gate::try_enter_concurrent`],
 //! [`Gate::request_serial`] + [`SerialRequest::try_acquire`], and the

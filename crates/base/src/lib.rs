@@ -36,9 +36,10 @@
 //!   to validate that the checker actually catches bugs.
 //! - [`park`] — the park-abstraction trait separating OS-thread waits from
 //!   waker-driven (`Poll::Pending`) waits, with a debug audit that executor
-//!   workers never reach a real OS park.
+//!   workers never reach a real OS park, and the inline poller
+//!   ([`park::block_on`]) behind the synchronous terminals.
 //! - [`exec`] — the in-tree, dependency-free async executor that the
-//!   `critical_async` entry points in `tle-core` run on.
+//!   `run_async` terminals in `tle-core` run on.
 
 pub mod abort;
 pub mod cell;

@@ -13,8 +13,8 @@
 //! a per-thread mode switch:
 //!
 //! - [`OsPark`] (default): OS-thread waits are legal. Plain threads, the
-//!   sync `critical` entry points, and `tle-check`'s cooperative explorer
-//!   all run here.
+//!   synchronous `run`/`try_run` terminals, and `tle-check`'s cooperative
+//!   explorer all run here.
 //! - [`WakerPark`]: installed by executor workers. Reaching a real OS park
 //!   under it is a bug in the runtime — the async runner must have routed
 //!   the wait through a pollable primitive instead — so
@@ -23,8 +23,19 @@
 //! The assertion piggybacks on the existing `block_enter` sites: every OS
 //! park in the kernels is already bracketed, so auditing the waker backend
 //! reduces to auditing one function.
+//!
+//! [`block_on`] is the inline poller that lets one future-shaped runner
+//! serve synchronous callers: it drives a future on the calling thread and
+//! parks that thread (bracketed like every other kernel park) only while
+//! the future is truly suspended.
 
+use crate::sched::{self, YieldPoint};
 use std::cell::Cell;
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
 /// Which backend absorbs a blocking wait on the current thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,6 +133,78 @@ pub fn enter_os_park() {
     }
 }
 
+/// Drive `fut` to completion on the calling thread, with no executor.
+///
+/// The first poll runs with a no-op waker — the no-wait fast path: a future
+/// that completes without suspending (every synchronous critical section)
+/// never builds a waker. If it returns `Pending`, the future is re-polled
+/// at once with a waker that unparks this thread (a correct future
+/// re-registers on every poll, so a wake lost to the no-op waker is seen by
+/// the re-poll). From then on two kinds of `Pending` are told apart by
+/// whether that waker already fired:
+///
+/// - **hot re-polls** (the waker fired during the poll — a task yield, a
+///   degraded no-executor timer) rotate the cooperative scheduler with
+///   `spin_hint(Park)` and yield the OS thread, so co-scheduled threads run
+///   between polls;
+/// - **true suspensions** park the OS thread inside
+///   [`sched::block_enter`]/[`sched::block_exit`], exactly like a kernel
+///   park: the thread leaves the explorer's runnable set (a lost wakeup
+///   freezes the step counter), and the waker-backend audit fires if an
+///   executor worker ever gets here.
+#[inline]
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    let mut fut = std::pin::pin!(fut);
+    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(v) => v,
+        Poll::Pending => park_until_ready(fut),
+    }
+}
+
+/// [`block_on`] past its fast path: re-poll with a waker that unparks this
+/// thread until the future completes.
+#[cold]
+fn park_until_ready<F: Future>(mut fut: Pin<&mut F>) -> F::Output {
+    let unparker = Arc::new(Unparker {
+        thread: std::thread::current(),
+        woken: AtomicBool::new(false),
+    });
+    let waker = Waker::from(Arc::clone(&unparker));
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
+            return v;
+        }
+        if unparker.woken.swap(false, Ordering::AcqRel) {
+            sched::spin_hint(YieldPoint::Park);
+            std::thread::yield_now();
+        } else {
+            sched::block_enter();
+            while !unparker.woken.swap(false, Ordering::AcqRel) {
+                std::thread::park();
+            }
+            sched::block_exit();
+        }
+    }
+}
+
+/// [`block_on`]'s waker: flag the wake, then unpark the polling thread.
+struct Unparker {
+    thread: std::thread::Thread,
+    woken: AtomicBool,
+}
+
+impl Wake for Unparker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.woken.store(true, Ordering::Release);
+        self.thread.unpark();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,5 +248,34 @@ mod tests {
         // Release builds compile the check out; make the test pass there.
         #[cfg(not(debug_assertions))]
         panic!("OS park reached (release-mode stand-in)");
+    }
+
+    #[test]
+    fn block_on_completes_ready_and_suspended_futures() {
+        assert_eq!(block_on(async { 7 }), 7);
+        // A future that suspends until another thread wakes it.
+        let flag = Arc::new(std::sync::Mutex::new((false, None::<Waker>)));
+        let f2 = Arc::clone(&flag);
+        let waker_thread = std::thread::spawn(move || loop {
+            let mut g = f2.lock().unwrap();
+            if let Some(w) = g.1.take() {
+                g.0 = true;
+                w.wake();
+                return;
+            }
+            drop(g);
+            std::thread::yield_now();
+        });
+        let got = block_on(std::future::poll_fn(|cx| {
+            let mut g = flag.lock().unwrap();
+            if g.0 {
+                Poll::Ready(42)
+            } else {
+                g.1 = Some(cx.waker().clone());
+                Poll::Pending
+            }
+        }));
+        waker_thread.join().unwrap();
+        assert_eq!(got, 42);
     }
 }

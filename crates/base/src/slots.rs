@@ -212,7 +212,10 @@ mod tests {
                     b.wait();
                     let s = r.register();
                     let idx = s.idx();
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    // Hold the slot until every thread has one: a timed hold
+                    // let a descheduled late registrant reuse a released id.
+                    b.wait();
+                    drop(s);
                     idx
                 })
             })

@@ -727,72 +727,6 @@ mod tests {
             );
             assert!(stats.serial_fallbacks >= 1, "{label}: no serial fallback");
         }
-
-        // --- Fault plane: the robustness trace kinds stay pinned, and each
-        //     injected abort class surfaces as exactly its mapped cause ---
-        use tle_base::fault::{self, FaultPlan, FaultRule, Hazard};
-        use tle_base::trace::TraceKind;
-        assert_eq!(TraceKind::FaultInject as u8, 12);
-        assert_eq!(TraceKind::Escalate as u8, 13);
-        assert_eq!(TraceKind::QuiesceStall as u8, 14);
-        assert_eq!(TraceKind::FaultInject.label(), "fault-inject");
-        assert_eq!(TraceKind::Escalate.label(), "escalate");
-        assert_eq!(TraceKind::QuiesceStall.label(), "quiesce-stall");
-        for h in Hazard::ALL {
-            if let Some(c) = h.cause() {
-                assert!(
-                    matches!(
-                        c,
-                        AbortCause::Event | AbortCause::Capacity | AbortCause::Conflict
-                    ),
-                    "injected {h:?} must map into the existing taxonomy"
-                );
-            }
-        }
-        // One delivery of each abort-class hazard, then the oracle goes
-        // quiet (limit 1) so concurrently running tests see a clean plane.
-        fault::install(
-            FaultPlan::new(0xFA17)
-                .rule(FaultRule::new(Hazard::HtmEvent, 1).limit(1))
-                .rule(FaultRule::new(Hazard::HtmCapacity, 1).limit(1))
-                .rule(FaultRule::new(Hazard::HtmConflict, 1).limit(1)),
-        );
-        fault::set_lane(0);
-        let sys = Arc::new(
-            TmSystem::builder()
-                .mode(AlgoMode::HtmCondvar)
-                .htm_config(HtmConfig {
-                    event_prob: 0.0, // injected Events only — keeps counts exact
-                    ..HtmConfig::default()
-                })
-                .build(),
-        );
-        let lock = ElidableMutex::new("fault-pins");
-        let cell = Padded(TCell::new(0u64));
-        let th = sys.register();
-        for _ in 0..4 {
-            th.tx(&lock).run(|ctx| {
-                let v = ctx.read(&*cell)?;
-                ctx.write(&*cell, v + 1)?;
-                Ok(())
-            });
-        }
-        let snap = fault::snapshot();
-        fault::clear();
-        assert_eq!(cell.load_direct(), 4, "faulted sections must all commit");
-        let stats = TrialStats::capture(&sys);
-        for (hazard, cause) in [
-            (Hazard::HtmEvent, AbortCause::Event),
-            (Hazard::HtmCapacity, AbortCause::Capacity),
-            (Hazard::HtmConflict, AbortCause::Conflict),
-        ] {
-            assert_eq!(snap.fired(hazard), 1, "{hazard:?} should fire exactly once");
-            assert!(
-                stats.cause(cause) >= 1,
-                "injected {hazard:?} not counted as {cause}; breakdown: {}",
-                stats.abort_breakdown()
-            );
-        }
     }
 
     /// Satellite (a): the steady-state window excludes warmup work. Every

@@ -2,87 +2,20 @@
 //!
 //! Each builder returns a *fresh* [`Scenario`] — new `TmSystem`, new lock,
 //! new cells — so the explorer can run it once per schedule. The closures
-//! use the same public API as the stress tests (`ThreadHandle::critical`
-//! over `TCell`s), which is exactly what makes the harness meaningful: the
+//! use the same public API as the stress tests (`ThreadHandle::tx` over
+//! `TCell`s), which is exactly what makes the harness meaningful: the
 //! kernels under deterministic exploration are the production kernels.
 
 // Each integration-test binary includes this module but uses a different
 // subset of the builders.
 #![allow(dead_code)]
 
-use std::future::Future;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
-use tle_base::sched::{self, YieldPoint};
+use std::sync::Arc;
+use tle_base::park::block_on;
 use tle_base::TCell;
 use tle_check::Scenario;
 use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar};
 use tle_stm::StmAlgo;
-
-/// The waker behind [`block_on_manual`]: a woken flag plus a condvar so the
-/// polling vthread can park (OS-level) between true suspensions.
-struct FlagSignal {
-    woken: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Wake for FlagSignal {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        let mut woken = self.woken.lock().unwrap_or_else(|e| e.into_inner());
-        *woken = true;
-        self.cv.notify_one();
-    }
-}
-
-/// Drive an async critical section to completion *inside a vthread*, with
-/// no executor: the scenario thread polls the future itself, so every
-/// suspension and every waker delivery happens under the explorer's
-/// schedule control.
-///
-/// Two kinds of `Pending` are distinguished through the flag waker:
-///
-/// - **hot re-polls** (the waker already fired — `yield_now` backoff,
-///   degraded no-executor timer sleeps) rotate the token with
-///   `spin_hint(Park)` so co-scheduled vthreads run between polls, and an
-///   OS yield bounds the hot-loop rate well under the livelock bound;
-/// - **true suspensions** (a parked condvar waiter armed its waker and
-///   nobody has signalled yet) leave the runnable set through
-///   `block_enter`/`block_exit`, exactly like a kernel OS park — so a lost
-///   wakeup freezes the step counter and the explorer declares the
-///   schedule dead.
-pub fn block_on_manual<F: Future>(fut: F) -> F::Output {
-    let signal = Arc::new(FlagSignal {
-        woken: Mutex::new(false),
-        cv: Condvar::new(),
-    });
-    let waker = Waker::from(Arc::clone(&signal));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = std::pin::pin!(fut);
-    loop {
-        if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
-            return v;
-        }
-        let mut woken = signal.woken.lock().unwrap_or_else(|e| e.into_inner());
-        if *woken {
-            *woken = false;
-            drop(woken);
-            sched::spin_hint(YieldPoint::Park);
-            std::thread::yield_now();
-        } else {
-            sched::block_enter();
-            while !*woken {
-                woken = signal.cv.wait(woken).unwrap_or_else(|e| e.into_inner());
-            }
-            *woken = false;
-            drop(woken);
-            sched::block_exit();
-        }
-    }
-}
 
 /// The all-cells-equal snapshot invariant from `tests/opacity.rs`, shrunk
 /// to model-checking size: every thread repeatedly asserts all cells equal
@@ -215,7 +148,8 @@ pub fn handoff_scenario(mode: AlgoMode, algo: StmAlgo) -> Scenario {
 }
 
 /// The handoff scenario with either side (or both) driven through the async
-/// waker path under [`block_on_manual`]. A sync producer signalling an async
+/// waker path, polled inside the vthread by [`block_on`] (the production
+/// inline poller). A sync producer signalling an async
 /// consumer exercises waker delivery from the condvar-notify path; an async
 /// producer waking a sync waiter exercises the reverse; both-async covers
 /// the executor-shaped end-to-end flow. A lost or misdelivered waker shows
@@ -245,7 +179,7 @@ pub fn handoff_scenario_async(
         Box::new(move || {
             let th = sys.register();
             let got = if async_consumer {
-                block_on_manual(th.tx(&lock).run_async(|ctx| {
+                block_on(th.tx(&lock).run_async(|ctx| {
                     if ctx.read(&*flag)? == 0 {
                         return ctx.wait(&cv, None).map(|_| 0);
                     }
@@ -275,7 +209,7 @@ pub fn handoff_scenario_async(
         Box::new(move || {
             let th = sys.register();
             if async_producer {
-                block_on_manual(th.tx(&lock).run_async(|ctx| {
+                block_on(th.tx(&lock).run_async(|ctx| {
                     ctx.write(&*value, 55u64)?;
                     ctx.write(&*flag, 1u64)?;
                     ctx.signal(&cv)?;

@@ -1,9 +1,10 @@
 //! Deterministic coverage of the *waker path*: the async runner's condvar
 //! waits (`run_async` / `try_run_async`) explored under the model checker.
 //!
-//! The scenario threads drive their futures through
-//! [`common::block_on_manual`] — no executor, every poll and every waker
-//! delivery happens inside a vthread — so the explorer controls the exact
+//! The scenario threads drive their futures through the production inline
+//! poller ([`tle_base::park::block_on`], the one behind the sync terminals)
+//! — no executor, every poll and every waker delivery happens inside a
+//! vthread — so the explorer controls the exact
 //! interleaving of commit-then-block registration, `Waiter::poll_signaled`
 //! waker arming, and the signaller's commit-deferred `Waiter::notify`:
 //!
@@ -15,16 +16,17 @@
 //!   both directions share one `Waiter` channel;
 //! - **signal races timeout (async)**: a timed async wait (degraded
 //!   hot-polling timer — no executor) racing a signaller must leave the
-//!   ring consistent whichever wins, including the `cancel_wait_async`
+//!   ring consistent whichever wins, including the `cancel_wait`
 //!   removal transactions;
 //! - **deferred signal (async)**: an aborted async signaller attempt must
 //!   wake no one; only the committed retry delivers.
 
 mod common;
 
-use common::{block_on_manual, handoff_scenario_async};
+use common::handoff_scenario_async;
 use std::sync::Arc;
 use std::time::Duration;
+use tle_base::park::block_on;
 use tle_base::TCell;
 use tle_check::{explore, Config, Scenario};
 use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar};
@@ -141,7 +143,7 @@ fn timed_handoff_async(mode: AlgoMode, signal: bool) -> Scenario {
         let seen = Arc::clone(&seen);
         Box::new(move || {
             let th = sys.register();
-            let got = block_on_manual(th.tx(&lock).run_async(|ctx| {
+            let got = block_on(th.tx(&lock).run_async(|ctx| {
                 if ctx.read(&*flag)? == 0 {
                     // Short timeout: the producer runs while we are
                     // suspended (or while we hot-poll the degraded timer),
@@ -163,7 +165,7 @@ fn timed_handoff_async(mode: AlgoMode, signal: bool) -> Scenario {
         let value = Arc::clone(&value);
         Box::new(move || {
             let th = sys.register();
-            block_on_manual(th.tx(&lock).run_async(|ctx| {
+            block_on(th.tx(&lock).run_async(|ctx| {
                 ctx.write(&*value, 55u64)?;
                 ctx.write(&*flag, 1u64)?;
                 if signal {
@@ -237,7 +239,7 @@ fn aborted_signaller_async(mode: AlgoMode) -> Scenario {
         let seen = Arc::clone(&seen);
         Box::new(move || {
             let th = sys.register();
-            let got = block_on_manual(th.tx(&lock).run_async(|ctx| {
+            let got = block_on(th.tx(&lock).run_async(|ctx| {
                 if ctx.read(&*flag)? == 0 {
                     return ctx.wait(&cv, None).map(|_| 0);
                 }
@@ -257,7 +259,7 @@ fn aborted_signaller_async(mode: AlgoMode) -> Scenario {
         Box::new(move || {
             let th = sys.register();
             let mut cancelled = false;
-            block_on_manual(th.tx(&lock).run_async(|ctx| {
+            block_on(th.tx(&lock).run_async(|ctx| {
                 ctx.write(&*value, 55u64)?;
                 ctx.write(&*flag, 1u64)?;
                 ctx.signal(&cv)?;

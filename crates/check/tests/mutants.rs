@@ -174,6 +174,13 @@ fn dirty_read_scenario() -> Scenario {
     }
 }
 
+/// A cell alone on its cache line. The simulated HTM yields at each
+/// *newly* marked line, so two separately allocated cells that happen to
+/// share a line drop a yield point and shift every later schedule
+/// decision: a caught token would replay a different interleaving.
+#[repr(align(64))]
+struct LineCell(TCell<u64>);
+
 /// Zombie torn snapshot in the simulated HTM: T1's commit dooms reader T0
 /// mid-transaction; with the doom checks skipped, T0 keeps reading across
 /// T1's publish and can see (old A, new B). The invariant assert inside
@@ -181,9 +188,9 @@ fn dirty_read_scenario() -> Scenario {
 fn htm_torn_pair_scenario() -> Scenario {
     let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
     let lock = Arc::new(ElidableMutex::new("mut-torn"));
-    let a = Arc::new(TCell::new(0u64));
-    let b = Arc::new(TCell::new(0u64));
-    let init = vec![(a.addr(), 0), (b.addr(), 0)];
+    let a = Arc::new(LineCell(TCell::new(0u64)));
+    let b = Arc::new(LineCell(TCell::new(0u64)));
+    let init = vec![(a.0.addr(), 0), (b.0.addr(), 0)];
 
     let t0: Box<dyn FnOnce() + Send> = {
         let (sys, lock) = (Arc::clone(&sys), Arc::clone(&lock));
@@ -191,8 +198,8 @@ fn htm_torn_pair_scenario() -> Scenario {
         Box::new(move || {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
-                let va = ctx.read(&*a)?;
-                let vb = ctx.read(&*b)?;
+                let va = ctx.read(&a.0)?;
+                let vb = ctx.read(&b.0)?;
                 assert_eq!(va, vb, "torn snapshot: doomed reader kept going");
                 Ok(())
             });
@@ -204,8 +211,8 @@ fn htm_torn_pair_scenario() -> Scenario {
         Box::new(move || {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
-                ctx.write(&*a, 1u64)?;
-                ctx.write(&*b, 1u64)?;
+                ctx.write(&a.0, 1u64)?;
+                ctx.write(&b.0, 1u64)?;
                 Ok(())
             });
         })
@@ -282,9 +289,9 @@ fn lazy_lost_update_scenario() -> Scenario {
 fn lazy_torn_pair_scenario(mode: AlgoMode) -> Scenario {
     let sys = Arc::new(TmSystem::new(mode));
     let lock = Arc::new(ElidableMutex::new("mut-lazytorn"));
-    let a = Arc::new(TCell::new(0u64));
-    let b = Arc::new(TCell::new(0u64));
-    let init = vec![(a.addr(), 0), (b.addr(), 0)];
+    let a = Arc::new(LineCell(TCell::new(0u64)));
+    let b = Arc::new(LineCell(TCell::new(0u64)));
+    let init = vec![(a.0.addr(), 0), (b.0.addr(), 0)];
 
     let t0: Box<dyn FnOnce() + Send> = {
         let (sys, lock) = (Arc::clone(&sys), Arc::clone(&lock));
@@ -292,8 +299,8 @@ fn lazy_torn_pair_scenario(mode: AlgoMode) -> Scenario {
         Box::new(move || {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
-                let va = ctx.read(&*a)?;
-                let vb = ctx.read(&*b)?;
+                let va = ctx.read(&a.0)?;
+                let vb = ctx.read(&b.0)?;
                 assert_eq!(va, vb, "torn snapshot: lazy zombie outlived the acquire");
                 Ok(())
             });
@@ -306,8 +313,8 @@ fn lazy_torn_pair_scenario(mode: AlgoMode) -> Scenario {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
                 ctx.unsafe_op()?;
-                ctx.write(&*a, 1u64)?;
-                ctx.write(&*b, 1u64)?;
+                ctx.write(&a.0, 1u64)?;
+                ctx.write(&b.0, 1u64)?;
                 Ok(())
             });
         })
@@ -413,7 +420,7 @@ fn catches_lost_signal() {
 
 /// The same lost-wakeup bug hunted through the *waker path*: the mutant
 /// suppresses the task-waker delivery along with the condvar notify, so an
-/// async consumer suspended under `block_on_manual` never re-polls and the
+/// async consumer suspended under the inline poller never re-polls and the
 /// explorer's step counter freezes — proving the async suites would catch
 /// a real lost waker, not just the sync park variant.
 #[test]

@@ -29,13 +29,14 @@ pub enum TxError {
     /// expired before a commit. Raised by the runner at retry-ladder
     /// decision points (never mid-attempt, and never once the section has
     /// entered serial or locked mode, whose effects cannot be undone);
-    /// surfaces to callers through
-    /// [`ThreadHandle::try_critical`](crate::ThreadHandle::try_critical).
+    /// surfaces to callers through [`TxRequest::try_run`](crate::TxRequest::try_run)
+    /// and [`TxRequest::try_run_async`](crate::TxRequest::try_run_async).
     DeadlineExceeded,
     /// The lock's admission controller is in its shed step: the section was
     /// refused at dispatch so a hot lock fails fast instead of collapsing
     /// every caller. Surfaces through
-    /// [`ThreadHandle::try_critical`](crate::ThreadHandle::try_critical).
+    /// [`TxRequest::try_run`](crate::TxRequest::try_run) and
+    /// [`TxRequest::try_run_async`](crate::TxRequest::try_run_async).
     Overloaded,
 }
 
@@ -60,32 +61,49 @@ pub(crate) enum CtxKind<'a> {
     Serial,
 }
 
+/// Deferred post-commit actions ([`TxCtx::defer`]).
+pub(crate) type Defers = Vec<Box<dyn FnOnce() + Send + 'static>>;
+
+/// A ring-entry pointer: the extra `Arc` reference owned by a condvar queue
+/// entry (see [`TxCtx::wait`]). Ownership moves between the queue and the
+/// runner only inside synchronous blocks, so the address may be carried
+/// across `.await`s.
+#[derive(Clone, Copy)]
+pub(crate) struct RawWaiter(pub *const Waiter);
+
+// SAFETY: the pointer is an `Arc`-derived reference to a `Waiter`
+// (`Send + Sync`); the wrapper only moves the *address* between threads,
+// never shares unsynchronized state.
+unsafe impl Send for RawWaiter {}
+unsafe impl Sync for RawWaiter {}
+
 /// A recorded wait request, consumed by the runner after the transaction
 /// commits.
 pub(crate) struct PendingWait<'a> {
     /// Private wakeup channel (None for baseline/spin waits, which do not
     /// enqueue).
     pub waiter: Option<Arc<Waiter>>,
-    /// The extra `Arc` reference owned by the condvar queue entry; the
-    /// runner reclaims it if the enqueue transaction fails to commit.
-    pub raw: *const Waiter,
+    /// The queue entry's `Arc` reference (null when nothing was enqueued);
+    /// the runner reclaims it if the enqueue transaction fails to commit.
+    pub raw: RawWaiter,
     pub cv: &'a TxCondvar,
     pub timeout: Option<Duration>,
 }
 
-/// The critical-section handle passed to closures run by
-/// [`ThreadHandle::critical`](crate::ThreadHandle::critical).
+/// The critical-section handle passed to closures run by the
+/// [`TxRequest`](crate::TxRequest) terminals.
 pub struct TxCtx<'a> {
     pub(crate) kind: CtxKind<'a>,
-    pub(crate) defers: Vec<Box<dyn FnOnce() + Send + 'static>>,
+    pub(crate) defers: Defers,
     pub(crate) pending_wait: Option<PendingWait<'a>>,
     /// Absolute expiry of the section's retry-time budget
     /// ([`crate::TxHints::with_deadline`]); `None` when unbounded.
     pub(crate) deadline: Option<Instant>,
-    /// Set by the async runner: waits must produce a pollable registration
-    /// instead of relying on OS parking. Only the baseline path behaves
-    /// differently (it enqueues into the transactional ring — safe under
-    /// the held mutex — rather than using the native condvar channel).
+    /// Set under the async terminals: waits must produce a pollable
+    /// registration instead of relying on OS parking. Only the baseline
+    /// path behaves differently (it enqueues into the transactional ring —
+    /// safe under the held mutex — rather than using the native condvar
+    /// channel).
     pub(crate) async_waits: bool,
 }
 
@@ -258,7 +276,7 @@ impl<'a> TxCtx<'a> {
             _ if !ring_wait => {
                 self.pending_wait = Some(PendingWait {
                     waiter: None,
-                    raw: std::ptr::null(),
+                    raw: RawWaiter(std::ptr::null()),
                     cv,
                     timeout,
                 });
@@ -280,7 +298,7 @@ impl<'a> TxCtx<'a> {
                 }
                 self.pending_wait = Some(PendingWait {
                     waiter: Some(waiter),
-                    raw,
+                    raw: RawWaiter(raw),
                     cv,
                     timeout,
                 });

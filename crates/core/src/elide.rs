@@ -18,7 +18,7 @@
 
 use crate::domain::{AdmissionStep, LockDomain};
 use crate::system::AlgoMode;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,11 +225,6 @@ impl ElidableMutex {
         for _ in 0..serial {
             w.record_serial();
         }
-    }
-
-    /// Acquire the raw mutex guard (mode-flip exclusion protocol).
-    pub(crate) fn raw_lock(&self) -> MutexGuard<'_, ()> {
-        self.inner.raw.lock()
     }
 
     /// Whether the adaptive policy says to skip elision this time; consumes

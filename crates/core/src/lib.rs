@@ -29,7 +29,6 @@ mod ctx;
 mod domain;
 mod elide;
 mod runner;
-mod runner_async;
 mod system;
 
 pub use condvar::TxCondvar;

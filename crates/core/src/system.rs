@@ -5,12 +5,13 @@ use crate::domain::{
     admission_decide, AdaptiveConfig, AdmissionConfig, ModeSwitchEvent, SwitchReason,
 };
 use crate::elide::{ElidableMutex, LockInner};
-use crate::runner;
+use crate::runner::{self, Blocking, Suspending};
 use crate::{TxCtx, TxError};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
+use tle_base::park;
 use tle_base::stats::{fmt_ns, LatencyHistSnapshot, TxStats, TxStatsSnapshot};
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, Gate, OrecLayout};
@@ -250,10 +251,9 @@ pub struct TxHints {
     pub stm_retries: Option<u32>,
     /// Retry-time budget for this section, measured from dispatch. The
     /// runner checks it before every retry tier and serial-gate entry and
-    /// clamps condvar waits to the remainder. Under
-    /// [`ThreadHandle::try_critical_with`] expiry surfaces as
-    /// [`TxError::DeadlineExceeded`]; under the infallible
-    /// [`ThreadHandle::critical_with`] it forces the serial path instead
+    /// clamps condvar waits to the remainder. Under [`TxRequest::try_run`]
+    /// expiry surfaces as [`TxError::DeadlineExceeded`]; under the
+    /// infallible [`TxRequest::run`] it forces the serial path instead
     /// (bounded retry time, no error channel needed).
     pub deadline: Option<Duration>,
 }
@@ -283,22 +283,9 @@ impl TxHints {
         self.deadline = Some(d);
         self
     }
-
-    /// Hint more (or fewer) hardware retries.
-    #[deprecated(since = "0.4.0", note = "use TxHints::new().with_htm_retries(n)")]
-    pub fn htm_retries(n: u32) -> Self {
-        TxHints::new().with_htm_retries(n)
-    }
-
-    /// Hint more (or fewer) software retries.
-    #[deprecated(since = "0.4.0", note = "use TxHints::new().with_stm_retries(n)")]
-    pub fn stm_retries(n: u32) -> Self {
-        TxHints::new().with_stm_retries(n)
-    }
 }
 
-/// `(htm_retries, stm_retries)` shorthand for
-/// [`ThreadHandle::critical_with`].
+/// `(htm_retries, stm_retries)` shorthand for [`TxRequest::hints`].
 impl From<(u32, u32)> for TxHints {
     fn from((htm, stm): (u32, u32)) -> Self {
         TxHints::new().with_htm_retries(htm).with_stm_retries(stm)
@@ -450,19 +437,6 @@ impl TmSystem {
     /// (sugar for `TmSystem::builder().mode(mode).build()`).
     pub fn new(mode: AlgoMode) -> Self {
         Self::builder().mode(mode).build()
-    }
-
-    /// Build a system with explicit policy and HTM configuration.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use TmSystem::builder().mode(..).policy(..).htm_config(..).build()"
-    )]
-    pub fn with_policy(mode: AlgoMode, policy: TlePolicy, htm_cfg: HtmConfig) -> Self {
-        Self::builder()
-            .mode(mode)
-            .policy(policy)
-            .htm_config(htm_cfg)
-            .build()
     }
 
     /// The global algorithm (locks may carry per-lock overrides; see
@@ -743,10 +717,7 @@ impl TmSystem {
     }
 
     /// Fallible twin of [`register`](TmSystem::register): `None` when the
-    /// slot registries are exhausted instead of panicking. The async runner
-    /// uses this to claim *transient* slots per critical section (thousands
-    /// of logical sessions share a bounded slot pool), backing off with a
-    /// scheduler yield until a slot frees up.
+    /// slot registries are exhausted instead of panicking.
     pub fn try_register(self: &Arc<Self>) -> Option<ThreadHandle> {
         let stm_slot = self.stm.slots.register_raw()?;
         let htm_slot = match self.htm.slots.register_raw() {
@@ -994,63 +965,6 @@ impl ThreadHandle {
             hints: TxHints::default(),
         }
     }
-
-    /// Run `body` as the critical section guarded by `lock`.
-    #[deprecated(since = "0.8.0", note = "use tx(lock).run(body)")]
-    #[inline]
-    pub fn critical<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> R {
-        self.tx(lock).run(body)
-    }
-
-    /// Like `critical`, with per-section policy hints.
-    #[deprecated(since = "0.8.0", note = "use tx(lock).hints(h).run(body)")]
-    #[inline]
-    pub fn critical_with<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        hints: impl Into<TxHints>,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> R {
-        self.tx(lock).hints(hints).run(body)
-    }
-
-    /// Like `critical`, but fallible (see [`TxRequest::try_run`]).
-    #[deprecated(since = "0.8.0", note = "use tx(lock).try_run(body)")]
-    #[inline]
-    pub fn try_critical<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        self.tx(lock).try_run(body)
-    }
-
-    /// Like `try_critical`, with per-section policy hints.
-    #[deprecated(since = "0.8.0", note = "use tx(lock).hints(h).try_run(body)")]
-    #[inline]
-    pub fn try_critical_with<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        hints: impl Into<TxHints>,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        self.tx(lock).hints(hints).try_run(body)
-    }
-
-    /// Like `critical`, with per-section policy hints.
-    #[deprecated(since = "0.4.0", note = "use tx(lock).hints(h).run(body)")]
-    pub fn critical_hinted<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        hints: TxHints,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> R {
-        self.tx(lock).hints(hints).run(body)
-    }
 }
 
 /// A critical-section request under construction: the lock, the policy
@@ -1130,7 +1044,14 @@ impl<'a> TxRequest<'a> {
     /// caller always gets the body's `Ok` value.
     #[inline]
     pub fn run<R>(self, body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>) -> R {
-        runner::run(self.th, self.lock, self.hints, body)
+        match park::block_on(runner::run::<Blocking, _, _>(
+            self.th, self.lock, self.hints, body, false,
+        )) {
+            Ok(r) => r,
+            // Infallible terminal: deadline expiry serializes instead of
+            // erroring and shed degrades to serialize, so neither escapes.
+            Err(e) => unreachable!("infallible run produced {e:?}"),
+        }
     }
 
     /// Run the section, fallibly: deadline expiry
@@ -1150,7 +1071,9 @@ impl<'a> TxRequest<'a> {
         self,
         body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
     ) -> Result<R, TxError> {
-        runner::try_run(self.th, self.lock, self.hints, body)
+        park::block_on(runner::run::<Blocking, _, _>(
+            self.th, self.lock, self.hints, body, true,
+        ))
     }
 
     /// Async twin of [`run`](TxRequest::run): resolves to the body's `Ok`
@@ -1159,7 +1082,7 @@ impl<'a> TxRequest<'a> {
     /// the task instead of parking the OS thread, so thousands of logical
     /// sessions can share a few executor workers.
     pub async fn run_async<R>(self, body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>) -> R {
-        match crate::runner_async::run_async(self.th, self.lock, self.hints, body, false).await {
+        match runner::run::<Suspending, _, _>(self.th, self.lock, self.hints, body, false).await {
             Ok(r) => r,
             Err(e) => unreachable!("infallible run_async produced {e:?}"),
         }
@@ -1174,7 +1097,7 @@ impl<'a> TxRequest<'a> {
         self,
         body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
     ) -> Result<R, TxError> {
-        crate::runner_async::run_async(self.th, self.lock, self.hints, body, true).await
+        runner::run::<Suspending, _, _>(self.th, self.lock, self.hints, body, true).await
     }
 }
 
@@ -1339,16 +1262,6 @@ mod tests {
         assert_eq!(h.stm_retries, Some(9));
         let t: TxHints = (4u32, 8u32).into();
         assert_eq!(t, TxHints::new().with_htm_retries(4).with_stm_retries(8));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_hint_constructors_delegate() {
-        assert_eq!(TxHints::htm_retries(7), TxHints::new().with_htm_retries(7));
-        assert_eq!(
-            TxHints::stm_retries(11),
-            TxHints::new().with_stm_retries(11)
-        );
     }
 
     #[test]

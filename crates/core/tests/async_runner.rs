@@ -3,10 +3,66 @@
 //! multiplexing, waker-driven condvar handoffs, timed-wait cancellation,
 //! deadline propagation, and sync/async interop on one system.
 
-use std::sync::Arc;
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::{Arc, Condvar as OsCondvar, Mutex as OsMutex};
+use std::task::{Context, Poll, Wake, Waker};
 use tle_base::exec::Exec;
 use tle_base::TCell;
-use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxError, ALL_MODES};
+use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxCtx, TxError, ALL_MODES};
+
+/// A waker that records whether it fired, so a manual poll loop can tell a
+/// hot re-poll from a true suspension on an armed waiter.
+#[derive(Default)]
+struct FlagSignal {
+    woken: OsMutex<bool>,
+    cv: OsCondvar,
+}
+
+impl Wake for FlagSignal {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+    fn wake_by_ref(self: &Arc<Self>) {
+        let mut woken = self.woken.lock().unwrap_or_else(|e| e.into_inner());
+        *woken = true;
+        self.cv.notify_one();
+    }
+}
+
+/// Poll until the future truly suspends on an armed waker (registered
+/// wait), panicking if it completes first.
+fn poll_to_suspension<F: Future>(fut: &mut Pin<&mut F>, signal: &Arc<FlagSignal>) {
+    let waker = Waker::from(Arc::clone(signal));
+    let mut cx = Context::from_waker(&waker);
+    for _ in 0..10_000 {
+        if fut.as_mut().poll(&mut cx).is_ready() {
+            panic!("future completed before suspending on the wait");
+        }
+        let mut woken = signal.woken.lock().unwrap_or_else(|e| e.into_inner());
+        if *woken {
+            *woken = false; // hot re-poll (yield_now backoff etc.)
+        } else {
+            return; // truly parked on the waiter
+        }
+    }
+    panic!("future never suspended");
+}
+
+fn poll_to_ready<F: Future>(fut: &mut Pin<&mut F>, signal: &Arc<FlagSignal>) -> F::Output {
+    let waker = Waker::from(Arc::clone(signal));
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
+            return v;
+        }
+        let mut woken = signal.woken.lock().unwrap_or_else(|e| e.into_inner());
+        while !*woken {
+            woken = signal.cv.wait(woken).unwrap_or_else(|e| e.into_inner());
+        }
+        *woken = false;
+    }
+}
 
 fn all_six() -> Vec<AlgoMode> {
     ALL_MODES
@@ -434,60 +490,6 @@ fn async_unsafe_op_serializes_and_completes() {
 /// consumed by the ghost entry.
 #[test]
 fn async_dropped_wait_future_self_cancels_ring_entry() {
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::sync::{Condvar as OsCondvar, Mutex as OsMutex};
-    use std::task::{Context, Poll, Wake, Waker};
-
-    struct FlagSignal {
-        woken: OsMutex<bool>,
-        cv: OsCondvar,
-    }
-    impl Wake for FlagSignal {
-        fn wake(self: Arc<Self>) {
-            self.wake_by_ref();
-        }
-        fn wake_by_ref(self: &Arc<Self>) {
-            let mut woken = self.woken.lock().unwrap_or_else(|e| e.into_inner());
-            *woken = true;
-            self.cv.notify_one();
-        }
-    }
-
-    /// Poll until the future truly suspends on an armed waker (registered
-    /// wait), panicking if it completes first.
-    fn poll_to_suspension<F: Future>(fut: &mut Pin<&mut F>, signal: &Arc<FlagSignal>) {
-        let waker = Waker::from(Arc::clone(signal));
-        let mut cx = Context::from_waker(&waker);
-        for _ in 0..10_000 {
-            if fut.as_mut().poll(&mut cx).is_ready() {
-                panic!("future completed before suspending on the wait");
-            }
-            let mut woken = signal.woken.lock().unwrap_or_else(|e| e.into_inner());
-            if *woken {
-                *woken = false; // hot re-poll (yield_now backoff etc.)
-            } else {
-                return; // truly parked on the waiter
-            }
-        }
-        panic!("future never suspended");
-    }
-
-    fn poll_to_ready<F: Future>(fut: &mut Pin<&mut F>, signal: &Arc<FlagSignal>) -> F::Output {
-        let waker = Waker::from(Arc::clone(signal));
-        let mut cx = Context::from_waker(&waker);
-        loop {
-            if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
-                return v;
-            }
-            let mut woken = signal.woken.lock().unwrap_or_else(|e| e.into_inner());
-            while !*woken {
-                woken = signal.cv.wait(woken).unwrap_or_else(|e| e.into_inner());
-            }
-            *woken = false;
-        }
-    }
-
     for mode in [
         AlgoMode::StmCondvar,
         AlgoMode::HtmCondvar,
@@ -499,10 +501,7 @@ fn async_dropped_wait_future_self_cancels_ring_entry() {
         let cv = Arc::new(TxCondvar::new());
         let flag = Arc::new(TCell::new(0u64));
         let th = Arc::new(sys.register());
-        let signal = Arc::new(FlagSignal {
-            woken: OsMutex::new(false),
-            cv: OsCondvar::new(),
-        });
+        let signal = Arc::new(FlagSignal::default());
 
         // Suspend a wait, then drop it mid-wait.
         {
@@ -552,5 +551,77 @@ fn async_dropped_wait_future_self_cancels_ring_entry() {
         producer.join().unwrap();
         poll_to_ready(&mut fut2, &signal);
         assert_eq!(cv.approx_len(), 0, "ring not drained under {mode:?}");
+    }
+}
+
+/// A body that waits on `cv` until `flag` is set.
+fn wait_until_set<'a>(
+    flag: &'a TCell<u64>,
+    cv: &'a TxCondvar,
+) -> impl FnMut(&mut TxCtx<'a>) -> Result<(), TxError> + 'a {
+    move |ctx| {
+        if ctx.read(flag)? == 0 {
+            return ctx.wait(cv, None);
+        }
+        Ok(())
+    }
+}
+
+/// One handle shared by sessions on several threads, as the KV crate's
+/// async sessions share one per executor worker: dropping suspended waits
+/// from two threads at once must
+/// cancel both ring entries on transient slot claims, never on the
+/// handle's own slots. Afterwards the ring holds no ghost entry and both
+/// slot registries are back to their starting count.
+#[test]
+fn concurrent_drops_on_a_shared_handle_leave_no_ghost() {
+    for mode in [
+        AlgoMode::Baseline,
+        AlgoMode::StmCondvar,
+        AlgoMode::HtmCondvar,
+        AlgoMode::AdaptiveHtmLazy,
+    ] {
+        let sys = Arc::new(TmSystem::new(mode));
+        let lock = ElidableMutex::new("shared-drop");
+        let cv = TxCondvar::new();
+        let flag = TCell::new(0u64);
+        let th = sys.register();
+        let slots = || (sys.stm.slots.claimed_count(), sys.htm.slots.claimed_count());
+        let start = slots();
+
+        let both_parked = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let fut = th.tx(&lock).run_async(wait_until_set(&flag, &cv));
+                    let mut fut = std::pin::pin!(fut);
+                    poll_to_suspension(&mut fut, &Arc::new(FlagSignal::default()));
+                    both_parked.wait();
+                    // Dropped here, racing the other thread's drop.
+                });
+            }
+        });
+        assert_eq!(slots(), start, "slot claims leaked under {mode:?}");
+
+        // A fresh waiter's enqueue compacts the cancelled residue: exactly
+        // one live entry remains unless a ghost survived.
+        let signal = Arc::new(FlagSignal::default());
+        let fut = th.tx(&lock).run_async(wait_until_set(&flag, &cv));
+        let mut fut = std::pin::pin!(fut);
+        poll_to_suspension(&mut fut, &signal);
+        assert_eq!(cv.approx_len(), 1, "ghost ring entry under {mode:?}");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let th = sys.register();
+                th.tx(&lock).run(|ctx| {
+                    ctx.write(&flag, 1u64)?;
+                    ctx.signal(&cv)?;
+                    Ok(())
+                });
+            });
+        });
+        poll_to_ready(&mut fut, &signal);
+        assert_eq!(cv.approx_len(), 0, "ring not drained under {mode:?}");
+        assert_eq!(slots(), start, "slot claims leaked under {mode:?}");
     }
 }

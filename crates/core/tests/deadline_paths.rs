@@ -3,7 +3,7 @@
 //!
 //! A section's retry-time budget ([`TxHints::with_deadline`]) is checked at
 //! dispatch and before every retry tier, never mid-attempt — so an expired
-//! budget must surface as `Err(DeadlineExceeded)` from `try_critical_with`
+//! budget must surface as `Err(DeadlineExceeded)` from `try_run`
 //! with *no effects*, while the infallible API (which has no error channel)
 //! must complete by serializing instead. A condvar wait inside a budgeted
 //! section clamps its park time to the remaining budget, so a waiter nobody
@@ -24,6 +24,31 @@ use tle_base::TCell;
 use tle_core::{
     AdmissionConfig, AdmissionStep, AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxError, TxHints,
 };
+
+/// A closure that manufactures a runner-level error under an infallible
+/// terminal has no channel to report it through: both terminals refuse
+/// with the one message that names the fallible ones.
+#[test]
+#[should_panic(expected = "use tx(lock).try_run or try_run_async to observe deadline/shed errors")]
+fn runner_error_under_run_names_the_fallible_terminals() {
+    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+    let th = sys.register();
+    let lock = ElidableMutex::new("runner-err");
+    th.tx(&lock)
+        .run(|_ctx| Err::<(), _>(TxError::DeadlineExceeded));
+}
+
+#[test]
+#[should_panic(expected = "use tx(lock).try_run or try_run_async to observe deadline/shed errors")]
+fn runner_error_under_run_async_names_the_fallible_terminals() {
+    let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
+    let th = sys.register();
+    let lock = ElidableMutex::new("runner-err-async");
+    tle_base::park::block_on(
+        th.tx(&lock)
+            .run_async(|_ctx| Err::<(), _>(TxError::Overloaded)),
+    );
+}
 
 /// A zero budget is already spent when the dispatch gate first looks at it:
 /// the fallible entry point must refuse before any speculation, leave no

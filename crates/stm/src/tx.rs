@@ -386,6 +386,11 @@ impl<'g> StmTx<'g> {
                 self.rollback();
                 self.finished = true;
                 self.g.stats.count_abort(shard, cause);
+                // Retire the epoch slot as every other abort does: a stale
+                // start time left here would hold up concurrent quiescence
+                // drains until this thread next begins — forever, if it is
+                // now headed for the serial gate those drainers keep shut.
+                self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
                 trace::emit(TraceKind::Abort, TxMode::Stm, Some(cause), end);
                 history::abort();
                 return Err(cause);
@@ -457,6 +462,8 @@ impl<'g> StmTx<'g> {
             self.rollback();
             self.finished = true;
             self.g.stats.count_abort(shard, cause);
+            // See `commit`: retire the epoch slot.
+            self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
             trace::emit(TraceKind::Abort, TxMode::Stm, Some(cause), end);
             history::abort();
             return Err(cause);
@@ -637,6 +644,38 @@ mod tests {
         tx.commit().unwrap();
         assert_eq!(a.load_direct(), 4);
         g.slots.unregister_raw(slot);
+    }
+
+    /// A commit-time validation failure retires the epoch slot like any
+    /// other abort: a stale start time left behind would stall every
+    /// concurrent quiescence drain until this slot next begins.
+    #[test]
+    fn commit_validation_failure_retires_the_slot() {
+        let g = StmGlobal::default();
+        let (s1, s2) = (
+            g.slots.register_raw().unwrap(),
+            g.slots.register_raw().unwrap(),
+        );
+        let a = tle_base::Padded(TCell::new(0u64));
+        let b = tle_base::Padded(TCell::new(0u64));
+        for publish in [false, true] {
+            let mut t1 = g.begin(s1);
+            t1.read(&*a).unwrap();
+            t1.write(&*b, 1u64).unwrap();
+            let mut t2 = g.begin(s2);
+            t2.write(&*a, 7u64).unwrap();
+            // Published without the drain: T1, on this same thread, is live.
+            t2.commit_publish().unwrap();
+            let res = if publish {
+                t1.commit_publish().map(drop)
+            } else {
+                t1.commit().map(drop)
+            };
+            assert_eq!(res, Err(AbortCause::CommitValidation));
+            assert_eq!(g.slots.value(s1), tle_base::INACTIVE, "publish={publish}");
+        }
+        g.slots.unregister_raw(s1);
+        g.slots.unregister_raw(s2);
     }
 
     #[test]

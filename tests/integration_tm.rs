@@ -285,6 +285,45 @@ fn nested_critical_sections_panic() {
     });
 }
 
+/// The nest guard covers the body only: a deferred action runs after it is
+/// released and may open a section on another lock — under the sync and
+/// the async terminal alike (the async one polled inline here).
+#[test]
+fn defer_may_open_a_section_on_another_lock() {
+    for mode in [
+        AlgoMode::Baseline,
+        AlgoMode::StmCondvar,
+        AlgoMode::HtmCondvar,
+        AlgoMode::AdaptiveHtm,
+    ] {
+        let sys = Arc::new(TmSystem::new(mode));
+        let th = Arc::new(sys.register());
+        let outer = ElidableMutex::new("outer");
+        let audit = Arc::new(ElidableMutex::new("audit"));
+        let entries = Arc::new(TCell::new(0u64));
+        let audit_entry = || {
+            let (th, audit, entries) = (Arc::clone(&th), Arc::clone(&audit), Arc::clone(&entries));
+            move || {
+                th.tx(&audit)
+                    .run(|ctx| ctx.update(&*entries, |v| v + 1).map(drop));
+            }
+        };
+        th.tx(&outer).run(|ctx| {
+            ctx.defer(audit_entry());
+            Ok(())
+        });
+        tle_repro::base::park::block_on(th.tx(&outer).run_async(|ctx| {
+            ctx.defer(audit_entry());
+            Ok(())
+        }));
+        assert_eq!(
+            entries.load_direct(),
+            2,
+            "a deferred section was lost under {mode:?}"
+        );
+    }
+}
+
 /// The paper's Listing 1: proxy privatization. A producer transactionally
 /// hands a message through a vector slot; a *proxy* transaction moves it
 /// on; the final owner uses it non-transactionally. GCC moved to
