@@ -15,20 +15,26 @@
 
 use crate::json::Json;
 use crate::workloads::{
-    lazy_subscription_trial, micro_trial_opts, pbzip_compress_trial, pbzip_decompress_trial,
-    x265_trial, MicroOpts, Mix, TrialStats, VideoSize,
+    disjoint_locks_trial, drain_scaling_trial, lazy_subscription_trial, long_tx_trial,
+    micro_trial_opts, nested_queue_trial, pbzip_compress_trial, pbzip_compress_trial_on,
+    pbzip_decompress_trial, pbzip_warmup_len, phase_shift_trial, primitive_trials,
+    ready_queue_trial, tle_incr_trial, x265_trial, x265_trial_cfg, MicroOpts, Mix, TrialStats,
+    VideoSize, PHASES, PHASE_OPS,
 };
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use tle_base::stats::HIST_BUCKETS;
 use tle_base::{AbortCause, OrecLayout};
-use tle_core::{AlgoMode, TmSystem};
+use tle_core::{AlgoMode, TlePolicy, TmSystem, ALL_MODES};
+use tle_htm::HtmConfig;
 use tle_kv::{
     build_system, run_driver_on, run_session_driver_async_on, run_session_driver_threads_on,
     KvConfig, KvReport, SessionConfig,
 };
 use tle_pbz::{compress_parallel, gen_text, PipelineConfig};
-use tle_stm::QuiescePolicy;
+use tle_stm::{QuiescePolicy, StmAlgo};
 
 /// Document type tag.
 pub const SCHEMA: &str = "tle-bench-trajectory";
@@ -42,31 +48,39 @@ pub const SCHEMA_VERSION: u64 = 3;
 /// (`BENCH_6.json` and earlier) remain parseable and comparable.
 pub const MIN_SCHEMA_VERSION: u64 = 1;
 /// The PR that committed this artifact generation.
-pub const PR: u64 = 9;
+pub const PR: u64 = 13;
 /// Throughput regressions beyond this fraction fail [`compare`].
 pub const TOLERANCE: f64 = 0.10;
 /// Executor workers for every `kv-sessions` async run (the acceptance bar
 /// is "≥ 1000 sessions on ≤ 8 workers").
 pub const SESSION_WORKERS: usize = 8;
+/// Worker threads of every swept figure: the paper sweeps 1..=8, these
+/// are its reduced points. Constant, so quick and full share run keys.
+pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Emission knobs. `quick` and `full` deliberately share `threads` so their
-/// run keys match: CI's quick emit compares cleanly against a committed
-/// full-size artifact (only `ops`/input sizes differ, and those are not
-/// part of the match key).
+/// Emission knobs. `quick` and `full` emit the same run keys and differ
+/// only in op counts and input sizes (neither is part of the match key),
+/// so CI's quick emit compares cleanly against a committed full-size
+/// artifact.
 #[derive(Debug, Clone, Copy)]
 pub struct EmitConfig {
     /// Human tag recorded in the document (`quick`, `full`, ...).
     pub label: &'static str,
-    /// Worker threads for every run.
+    /// Worker threads for the runs that are not swept over
+    /// [`THREAD_SWEEP`].
     pub threads: usize,
-    /// Measured ops per thread for the fig5 microbenchmarks.
+    /// Measured ops per thread for the set microbenchmarks; every other
+    /// non-application figure scales its op count from it.
     pub micro_ops: u64,
-    /// PBZip2 input size in KiB.
+    /// PBZip2 input size in KiB of the fixed fig2 rows; the swept PBZip2
+    /// rows use four times as much.
     pub pbzip_kib: usize,
-    /// Trials per configuration (best-of, to damp scheduler noise).
+    /// Trials per configuration (best-of, to damp scheduler noise). The
+    /// application figures run one trial per point.
     pub trials: usize,
-    /// Include the application figures (fig2 PBZip2, fig3 x265). The
-    /// microbenchmarks and optimization A/Bs always run.
+    /// Include the application figures: the PBZip2 rows (fig2,
+    /// ablate-htm-retry, the ablate-stm-algo pipeline rows) and the x265
+    /// rows (fig3, fig4). Everything else always runs.
     pub apps: bool,
     /// Session counts for the `kv-sessions` curve. Part of each run's
     /// match key, so quick and full share the same curve (a quick CI emit
@@ -113,16 +127,24 @@ impl EmitConfig {
 }
 
 /// Schema-key metadata for one run (everything except the measurements).
-struct RunSpec {
-    figure: &'static str,
-    workload: String,
-    mix: String,
-    mode: String,
-    policy: String,
+#[derive(Debug, Clone, Copy)]
+struct RunSpec<'a> {
+    figure: &'a str,
+    workload: &'a str,
+    mix: &'a str,
+    mode: &'a str,
+    policy: &'a str,
     threads: usize,
     ops: u64,
     warmup: u64,
-    unit: &'static str,
+    unit: &'a str,
+}
+
+impl RunSpec<'_> {
+    /// The run row for `ops` completed in `secs`.
+    fn row(&self, secs: f64, stats: &TrialStats) -> Json {
+        run_json(self, secs, self.ops as f64 / secs, stats)
+    }
 }
 
 fn measured_json(secs: f64, tput: f64, stats: &TrialStats) -> Json {
@@ -244,10 +266,10 @@ fn session_run_json(
 fn run_json(spec: &RunSpec, secs: f64, tput: f64, stats: &TrialStats) -> Json {
     Json::Obj(vec![
         ("figure".into(), Json::str(spec.figure)),
-        ("workload".into(), Json::str(&*spec.workload)),
-        ("mix".into(), Json::str(&*spec.mix)),
-        ("mode".into(), Json::str(&*spec.mode)),
-        ("policy".into(), Json::str(&*spec.policy)),
+        ("workload".into(), Json::str(spec.workload)),
+        ("mix".into(), Json::str(spec.mix)),
+        ("mode".into(), Json::str(spec.mode)),
+        ("policy".into(), Json::str(spec.policy)),
         ("threads".into(), Json::u64(spec.threads as u64)),
         ("ops".into(), Json::u64(spec.ops)),
         ("warmup".into(), Json::u64(spec.warmup)),
@@ -274,6 +296,46 @@ fn best_micro(
         }
     }
     best.expect("at least one trial")
+}
+
+/// Best-of-`trials` run of a trial that returns seconds (min time, with
+/// that run's stats).
+fn best_secs(trials: usize, mut trial: impl FnMut() -> (f64, TrialStats)) -> (f64, TrialStats) {
+    (0..trials.max(1))
+        .map(|_| trial())
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("at least one trial")
+}
+
+/// One set-microbenchmark row: `threads` workers, each running
+/// `cfg.micro_ops` ops of `mix` on a `kind` set, best of `cfg.trials`.
+/// The policy column names the STM algorithm when it is not `ml_wt`.
+fn micro_row(
+    cfg: &EmitConfig,
+    figure: &str,
+    kind: &str,
+    policy: QuiescePolicy,
+    mix: Mix,
+    threads: usize,
+    opts: MicroOpts,
+) -> Json {
+    let (tput, stats) = best_micro(cfg.trials, kind, policy, threads, mix, cfg.micro_ops, opts);
+    let total = threads as u64 * cfg.micro_ops;
+    let spec = RunSpec {
+        figure,
+        workload: kind,
+        mix: mix.label(),
+        mode: AlgoMode::StmCondvar.label(),
+        policy: match opts.algo {
+            StmAlgo::MlWt => policy.label(),
+            algo => algo.label(),
+        },
+        threads,
+        ops: total,
+        warmup: threads as u64 * opts.warmup_ops,
+        unit: "ops/sec",
+    };
+    run_json(&spec, total as f64 / tput, tput, &stats)
 }
 
 fn ab_side(config: &str, tput: f64, extra: Vec<(String, Json)>) -> Json {
@@ -312,132 +374,544 @@ fn ab_entry(spec: &AbSpec, baseline: Json, optimized: Json, speedup: f64) -> Jso
     ])
 }
 
-/// Run the trajectory suite and build the document.
+/// Run the trajectory suite and build the document: one block per paper
+/// figure, ablation and serving workload, then the optimization A/Bs.
+/// EXPERIMENTS.md names the figure behind each of its tables.
 pub fn emit_report(cfg: &EmitConfig) -> Json {
     let mut runs = Vec::new();
     let warm = cfg.micro_ops / 10;
-
     if cfg.apps {
-        // fig2: PBZip2 pipeline, bytes/sec.
-        let block = 16 * 1024;
-        let input = gen_text(42, cfg.pbzip_kib * 1024);
-        for mode in [
-            AlgoMode::StmCondvar,
-            AlgoMode::HtmCondvar,
-            AlgoMode::AdaptiveHtm,
-            AlgoMode::AdaptiveHtmLazy,
-        ] {
-            let (secs, stats) = pbzip_compress_trial(mode, cfg.threads, block, &input);
-            runs.push(run_json(
-                &RunSpec {
-                    figure: "fig2",
-                    workload: "pbzip-compress".into(),
-                    mix: "-".into(),
-                    mode: mode.label().into(),
-                    policy: "-".into(),
-                    threads: cfg.threads,
-                    ops: input.len() as u64,
-                    warmup: input.len().min(block) as u64,
-                    unit: "bytes/sec",
-                },
-                secs,
-                input.len() as f64 / secs,
-                &stats,
-            ));
-        }
-        let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
-        let ccfg = PipelineConfig {
-            workers: cfg.threads,
-            block_size: block,
-            fifo_cap: 2 * cfg.threads.max(2),
-        };
-        let compressed = compress_parallel(&sys, &input, &ccfg);
-        let (secs, stats) =
-            pbzip_decompress_trial(AlgoMode::HtmCondvar, cfg.threads, block, &compressed);
-        runs.push(run_json(
-            &RunSpec {
-                figure: "fig2",
-                workload: "pbzip-decompress".into(),
-                mix: "-".into(),
-                mode: AlgoMode::HtmCondvar.label().into(),
-                policy: "-".into(),
-                threads: cfg.threads,
-                ops: compressed.len() as u64,
-                warmup: 4096,
-                unit: "bytes/sec",
-            },
-            secs,
-            compressed.len() as f64 / secs,
-            &stats,
-        ));
-
-        // fig3: x265 encoder, frames/sec — including the adaptive eager and
-        // safe-lazy modes so the lazy path stays measured on a real
-        // multi-lock application, not just the capacity-edge A/B.
-        let frames = VideoSize::Small.params(false).2 as u64;
-        for mode in [
-            AlgoMode::HtmCondvar,
-            AlgoMode::AdaptiveHtm,
-            AlgoMode::AdaptiveHtmLazy,
-        ] {
-            let (secs, stats) = x265_trial(mode, cfg.threads, VideoSize::Small, false);
-            runs.push(run_json(
-                &RunSpec {
-                    figure: "fig3",
-                    workload: "x265-small".into(),
-                    mix: "-".into(),
-                    mode: mode.label().into(),
-                    policy: "-".into(),
-                    threads: cfg.threads,
-                    ops: frames,
-                    warmup: 2,
-                    unit: "frames/sec",
-                },
-                secs,
-                frames as f64 / secs,
-                &stats,
-            ));
-        }
+        fig2(cfg, &mut runs);
+        fig3(&mut runs);
+        fig4(&mut runs);
+        ablate_htm_retry(cfg, &mut runs);
     }
+    fig5(cfg, &mut runs);
+    kv(cfg, &mut runs);
+    primitives(cfg, &mut runs);
+    ablate_quiesce(cfg, &mut runs);
+    ablate_ready_flag(cfg, &mut runs);
+    ablate_fallback(cfg, &mut runs);
+    adapt_policy(cfg, &mut runs);
+    ablate_stm_algo(cfg, &mut runs);
+    let optimizations = optimizations(cfg);
 
-    // fig5: set microbenchmarks, ops/sec.
-    let micro_cases: [(&str, QuiescePolicy, Mix); 5] = [
-        ("hash", QuiescePolicy::Selective, Mix::HalfLookup),
-        ("tree", QuiescePolicy::Selective, Mix::HalfLookup),
-        ("list", QuiescePolicy::Selective, Mix::HalfLookup),
-        ("hash", QuiescePolicy::Selective, Mix::ReadMostly),
-        ("hash", QuiescePolicy::Always, Mix::UpdateOnly),
-    ];
-    for (kind, policy, mix) in micro_cases {
-        let (tput, stats) = best_micro(
-            cfg.trials,
-            kind,
-            policy,
-            cfg.threads,
-            mix,
-            cfg.micro_ops,
-            MicroOpts::warmed(cfg.micro_ops),
+    Json::Obj(vec![
+        ("schema".into(), Json::str(SCHEMA)),
+        ("schema_version".into(), Json::u64(SCHEMA_VERSION)),
+        ("pr".into(), Json::u64(PR)),
+        (
+            "config".into(),
+            Json::Obj(vec![
+                ("label".into(), Json::str(cfg.label)),
+                ("threads".into(), Json::u64(cfg.threads as u64)),
+                ("micro_ops".into(), Json::u64(cfg.micro_ops)),
+                ("warmup_ops".into(), Json::u64(warm)),
+                ("pbzip_kib".into(), Json::u64(cfg.pbzip_kib as u64)),
+                ("trials".into(), Json::u64(cfg.trials as u64)),
+                ("apps".into(), Json::Bool(cfg.apps)),
+                (
+                    "sessions_curve".into(),
+                    Json::Arr(
+                        cfg.sessions_curve
+                            .iter()
+                            .map(|&s| Json::u64(s as u64))
+                            .collect(),
+                    ),
+                ),
+                ("session_requests".into(), Json::u64(cfg.session_requests)),
+                ("session_think_ns".into(), Json::u64(cfg.session_think_ns)),
+            ]),
+        ),
+        ("runs".into(), Json::Arr(runs)),
+        ("optimizations".into(), Json::Arr(optimizations)),
+    ])
+}
+
+fn pipeline(workers: usize, block_size: usize) -> PipelineConfig {
+    PipelineConfig {
+        workers,
+        block_size,
+        fifo_cap: 2 * workers.max(2),
+    }
+}
+
+/// PBZip2 block sizes of the Figure 2 panels; a swept run's `mix` is
+/// `b<kB>k`.
+const PBZIP_BLOCKS: [usize; 3] = [100_000, 300_000, 900_000];
+
+/// Input of the swept PBZip2 rows: four times the fixed rows' size, so the
+/// 900K panel still splits into more than one block at full size.
+fn sweep_input(cfg: &EmitConfig) -> Vec<u8> {
+    gen_text(0x650, 4 * cfg.pbzip_kib * 1024)
+}
+
+/// fig2 (PBZip2, bytes/sec): the fixed 16K-block rows at `cfg.threads`,
+/// then Figure 2's panels: compress and decompress × [`ALL_MODES`] ×
+/// [`THREAD_SWEEP`] × [`PBZIP_BLOCKS`]. The §VII-A transaction statistics
+/// are the `measured` fields of the `b100k` STM+CondVar and HTM+CondVar
+/// compress rows at 4 threads.
+fn fig2(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    let block = 16 * 1024;
+    let input = gen_text(42, cfg.pbzip_kib * 1024);
+    let fixed = RunSpec {
+        figure: "fig2",
+        workload: "pbzip-compress",
+        mix: "-",
+        mode: "-",
+        policy: "-",
+        threads: cfg.threads,
+        ops: input.len() as u64,
+        warmup: pbzip_warmup_len(input.len(), block) as u64,
+        unit: "bytes/sec",
+    };
+    for mode in [
+        AlgoMode::StmCondvar,
+        AlgoMode::HtmCondvar,
+        AlgoMode::AdaptiveHtm,
+        AlgoMode::AdaptiveHtmLazy,
+    ] {
+        let (secs, stats) = pbzip_compress_trial(mode, cfg.threads, block, &input);
+        runs.push(
+            RunSpec {
+                mode: mode.label(),
+                ..fixed
+            }
+            .row(secs, &stats),
         );
-        let total = cfg.threads as u64 * cfg.micro_ops;
-        runs.push(run_json(
-            &RunSpec {
-                figure: "fig5",
-                workload: kind.into(),
-                mix: mix.label().into(),
-                mode: AlgoMode::StmCondvar.label().into(),
-                policy: policy.label().into(),
-                threads: cfg.threads,
-                ops: total,
-                warmup: cfg.threads as u64 * warm,
-                unit: "ops/sec",
-            },
-            total as f64 / tput,
-            tput,
-            &stats,
-        ));
     }
+    let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
+    let compressed = compress_parallel(&sys, &input, &pipeline(cfg.threads, block));
+    let (secs, stats) =
+        pbzip_decompress_trial(AlgoMode::HtmCondvar, cfg.threads, block, &compressed);
+    let decompress = RunSpec {
+        workload: "pbzip-decompress",
+        mode: AlgoMode::HtmCondvar.label(),
+        ops: compressed.len() as u64,
+        warmup: 4096,
+        ..fixed
+    };
+    runs.push(decompress.row(secs, &stats));
 
-    // kv: the sharded serving workload — the deadline/admission plane A/B.
+    let input = sweep_input(cfg);
+    for block in PBZIP_BLOCKS {
+        let mix = format!("b{}k", block / 1000);
+        let sys = Arc::new(TmSystem::new(AlgoMode::Baseline));
+        let compressed = compress_parallel(&sys, &input, &pipeline(4, block));
+        for threads in THREAD_SWEEP {
+            for mode in ALL_MODES {
+                let spec = RunSpec {
+                    mix: &mix,
+                    mode: mode.label(),
+                    threads,
+                    ops: input.len() as u64,
+                    warmup: pbzip_warmup_len(input.len(), block) as u64,
+                    ..fixed
+                };
+                let (secs, stats) = pbzip_compress_trial(mode, threads, block, &input);
+                runs.push(spec.row(secs, &stats));
+                let (secs, stats) = pbzip_decompress_trial(mode, threads, block, &compressed);
+                let spec = RunSpec {
+                    workload: "pbzip-decompress",
+                    ops: compressed.len() as u64,
+                    warmup: 4096,
+                    ..spec
+                };
+                runs.push(spec.row(secs, &stats));
+            }
+        }
+    }
+}
+
+/// One x265 row template (mode and threads filled in per run).
+fn x265_spec<'a>(figure: &'a str, workload: &'a str, size: VideoSize) -> RunSpec<'a> {
+    RunSpec {
+        figure,
+        workload,
+        mix: "-",
+        mode: "-",
+        policy: "-",
+        threads: 0,
+        ops: size.params().2 as u64,
+        warmup: 2,
+        unit: "frames/sec",
+    }
+}
+
+/// fig3 (x265, frames/sec): small/medium/large × every mode (the paper's
+/// five plus the adaptive eager and safe-lazy ones) × [`THREAD_SWEEP`].
+/// The paper's speedup is a row over its size's pthread row at 1 thread.
+fn fig3(runs: &mut Vec<Json>) {
+    let modes = ALL_MODES
+        .into_iter()
+        .chain([AlgoMode::AdaptiveHtm, AlgoMode::AdaptiveHtmLazy]);
+    for size in VideoSize::ALL {
+        let workload = format!("x265-{}", size.label());
+        let spec = x265_spec("fig3", &workload, size);
+        for mode in modes.clone() {
+            for threads in THREAD_SWEEP {
+                let (secs, stats) = x265_trial(mode, threads, size);
+                let spec = RunSpec {
+                    mode: mode.label(),
+                    threads,
+                    ..spec
+                };
+                runs.push(spec.row(secs, &stats));
+            }
+        }
+    }
+}
+
+/// fig4 (x265 HTM aborts): small and medium × [`THREAD_SWEEP`] under
+/// HTM+CondVar with an interrupt-pressure hardware model, whose event
+/// aborts stand in for the TLB-miss, interrupt and preemption aborts a
+/// busy Haswell shows. The default model's counters are fig3's
+/// HTM+CondVar rows.
+fn fig4(runs: &mut Vec<Json>) {
+    let htm = HtmConfig {
+        event_prob: 5e-3,
+        ..HtmConfig::default()
+    };
+    for size in [VideoSize::Small, VideoSize::Medium] {
+        let workload = format!("x265-{}", size.label());
+        for threads in THREAD_SWEEP {
+            let (secs, stats) = x265_trial_cfg(AlgoMode::HtmCondvar, threads, size, htm.clone());
+            let spec = RunSpec {
+                mode: AlgoMode::HtmCondvar.label(),
+                policy: "event_prob=5e-3",
+                threads,
+                ..x265_spec("fig4", &workload, size)
+            };
+            runs.push(spec.row(secs, &stats));
+        }
+    }
+}
+
+/// ablate-htm-retry (§VII-A, bytes/sec): PBZip2 compress with 100K blocks
+/// under HTM+CondVar, retries before serializing ∈ {1, 2, 4, 8, 16} ×
+/// [`THREAD_SWEEP`]. The HTM injects event aborts at 2e-2: true conflicts
+/// are rare when threads timeshare few CPUs, so the knob is exercised
+/// against the other big TSX abort class. The paper runs GCC's default, 2.
+fn ablate_htm_retry(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    let input = sweep_input(cfg);
+    let block = PBZIP_BLOCKS[0];
+    for retries in [1u32, 2, 4, 8, 16] {
+        let policy = format!("retries={retries}");
+        for threads in THREAD_SWEEP {
+            let sys = Arc::new(
+                TmSystem::builder()
+                    .mode(AlgoMode::HtmCondvar)
+                    .policy(TlePolicy {
+                        htm_retries: retries,
+                        ..TlePolicy::default()
+                    })
+                    .htm_config(HtmConfig {
+                        event_prob: 2e-2,
+                        ..HtmConfig::default()
+                    })
+                    .build(),
+            );
+            let (secs, stats) = pbzip_compress_trial_on(&sys, threads, block, &input);
+            let spec = RunSpec {
+                figure: "ablate-htm-retry",
+                workload: "pbzip-compress",
+                mix: "b100k",
+                mode: AlgoMode::HtmCondvar.label(),
+                policy: &policy,
+                threads,
+                ops: input.len() as u64,
+                warmup: pbzip_warmup_len(input.len(), block) as u64,
+                unit: "bytes/sec",
+            };
+            runs.push(spec.row(secs, &stats));
+        }
+    }
+}
+
+/// fig5 (set microbenchmarks, ops/sec): Figure 5's grid, list/hash/tree ×
+/// both paper mixes × the three quiescence policies × [`THREAD_SWEEP`],
+/// plus the read-mostly hash row the read-only commit fast path targets.
+fn fig5(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    let warmed = MicroOpts::warmed(cfg.micro_ops);
+    for kind in ["list", "hash", "tree"] {
+        for mix in [Mix::UpdateOnly, Mix::HalfLookup] {
+            for policy in [
+                QuiescePolicy::Always,
+                QuiescePolicy::Never,
+                QuiescePolicy::Selective,
+            ] {
+                for threads in THREAD_SWEEP {
+                    runs.push(micro_row(cfg, "fig5", kind, policy, mix, threads, warmed));
+                }
+            }
+        }
+    }
+    let policy = QuiescePolicy::Selective;
+    let mix = Mix::ReadMostly;
+    runs.push(micro_row(
+        cfg,
+        "fig5",
+        "hash",
+        policy,
+        mix,
+        cfg.threads,
+        warmed,
+    ));
+}
+
+/// primitives (ops/sec, one thread): the TCell, orec and raw `ml_wt`
+/// costs beneath every figure, then `tle-incr`, one single-cell section
+/// through the full elision runner per op, for pthread, STM and HTM.
+/// Each is one plain timed loop of `25 * micro_ops` calls, best of
+/// `cfg.trials`.
+fn primitives(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    let iters = 25 * cfg.micro_ops;
+    let mut best = primitive_trials(iters);
+    for _ in 1..cfg.trials {
+        for (b, n) in best.iter_mut().zip(primitive_trials(iters)) {
+            b.2 = b.2.min(n.2);
+        }
+    }
+    let spec = RunSpec {
+        figure: "primitives",
+        workload: "-",
+        mix: "-",
+        mode: "-",
+        policy: "-",
+        threads: 1,
+        ops: iters,
+        warmup: 0,
+        unit: "ops/sec",
+    };
+    for (workload, policy, secs) in best {
+        let spec = RunSpec {
+            workload,
+            policy,
+            ..spec
+        };
+        runs.push(spec.row(secs, &TrialStats::default()));
+    }
+    for mode in [
+        AlgoMode::Baseline,
+        AlgoMode::StmCondvar,
+        AlgoMode::HtmCondvar,
+    ] {
+        let (secs, stats) = best_secs(cfg.trials, || tle_incr_trial(mode, iters));
+        let spec = RunSpec {
+            workload: "tle-incr",
+            mode: mode.label(),
+            ..spec
+        };
+        runs.push(spec.row(secs, &stats));
+    }
+}
+
+/// ablate-quiesce (§IV, commits/sec). `drain-scaling`: one committer
+/// beside `threads - 1` threads running short transactions, draining
+/// everything (`STM`) or never (`NoQ`). `unrelated-commits`: `threads`
+/// committers on disjoint locks with and without one long transaction in
+/// flight (`mix`), draining everything (`STM`) or marking each section
+/// `TM_NoQuiesce` under the selective policy (`SelectNoQ`).
+fn ablate_quiesce(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    let spec = RunSpec {
+        figure: "ablate-quiesce",
+        workload: "drain-scaling",
+        mix: "-",
+        mode: AlgoMode::StmCondvar.label(),
+        policy: "-",
+        threads: 1,
+        ops: cfg.micro_ops,
+        warmup: 0,
+        unit: "ops/sec",
+    };
+    for policy in [QuiescePolicy::Always, QuiescePolicy::Never] {
+        for threads in THREAD_SWEEP {
+            let (secs, stats) = best_secs(cfg.trials, || {
+                drain_scaling_trial(policy, threads - 1, cfg.micro_ops)
+            });
+            let spec = RunSpec {
+                policy: policy.label(),
+                threads,
+                ..spec
+            };
+            runs.push(spec.row(secs, &stats));
+        }
+    }
+    let ops = cfg.micro_ops / 2;
+    for (mix, long_tx) in [("no-long-tx", false), ("long-tx", true)] {
+        for (policy, no_quiesce) in [
+            (QuiescePolicy::Always, false),
+            (QuiescePolicy::Selective, true),
+        ] {
+            for threads in THREAD_SWEEP {
+                let (secs, stats) = best_secs(cfg.trials, || {
+                    long_tx_trial(policy, no_quiesce, long_tx, threads, ops)
+                });
+                let spec = RunSpec {
+                    workload: "unrelated-commits",
+                    mix,
+                    policy: policy.label(),
+                    threads,
+                    ops: threads as u64 * ops,
+                    ..spec
+                };
+                runs.push(spec.row(secs, &stats));
+            }
+        }
+    }
+}
+
+/// ablate-ready-flag (§V, items/sec): `threads` producers push
+/// `micro_ops / 8` items in total through the lookahead queue to one
+/// consumer. `listing3` produces while holding the queue lock, which only
+/// plain locks can run; `listing4` publishes through the ready flag,
+/// under every mode. The paper's parity claim compares the two under
+/// pthread.
+fn ablate_ready_flag(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    let items = cfg.micro_ops / 8;
+    for threads in THREAD_SWEEP {
+        let per = items / threads as u64;
+        let spec = RunSpec {
+            figure: "ablate-ready-flag",
+            workload: "lookahead-queue",
+            mix: "-",
+            mode: AlgoMode::Baseline.label(),
+            policy: "listing3",
+            threads,
+            ops: per * threads as u64,
+            warmup: 0,
+            unit: "items/sec",
+        };
+        let (secs, stats) = best_secs(cfg.trials, || {
+            (nested_queue_trial(threads, per), TrialStats::default())
+        });
+        runs.push(spec.row(secs, &stats));
+        for mode in ALL_MODES {
+            let (secs, stats) = best_secs(cfg.trials, || ready_queue_trial(mode, threads, per));
+            let spec = RunSpec {
+                mode: mode.label(),
+                policy: "listing4",
+                ..spec
+            };
+            runs.push(spec.row(secs, &stats));
+        }
+    }
+}
+
+/// ablate-fallback (§II-C, ops/sec): every thread increments its own cell
+/// under its own lock, `micro_ops` times, with HTM event aborts off and at
+/// 2e-2. HTM+CondVar falls back through the global serial gate, which
+/// suspends every other thread; AdaptiveHTM (the glibc model) falls back
+/// to the failing lock alone.
+fn ablate_fallback(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    for (policy, event_prob) in [("event_prob=0", 0.0), ("event_prob=2e-2", 2e-2)] {
+        for mode in [AlgoMode::HtmCondvar, AlgoMode::AdaptiveHtm] {
+            for threads in THREAD_SWEEP {
+                let (secs, stats) = best_secs(cfg.trials, || {
+                    disjoint_locks_trial(mode, threads, event_prob, cfg.micro_ops)
+                });
+                let spec = RunSpec {
+                    figure: "ablate-fallback",
+                    workload: "disjoint-locks",
+                    mix: "-",
+                    mode: mode.label(),
+                    policy,
+                    threads,
+                    ops: threads as u64 * cfg.micro_ops,
+                    warmup: 0,
+                    unit: "ops/sec",
+                };
+                runs.push(spec.row(secs, &stats));
+            }
+        }
+    }
+}
+
+/// adapt-policy (sections/sec): the [`PHASES`] workload under each fixed
+/// mode and under the per-lock controller starting from HTM+CondVar
+/// (`policy` = `fixed` / `adaptive`), one row per phase. Every thread
+/// count runs the same total sections per phase: [`PHASE_OPS`] × 4
+/// threads, scaled by `micro_ops / 40_000`. Per phase, best of
+/// `cfg.trials`.
+fn adapt_policy(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    for (mode, adaptive) in [
+        (AlgoMode::Baseline, false),
+        (AlgoMode::StmCondvar, false),
+        (AlgoMode::HtmCondvar, false),
+        (AlgoMode::HtmCondvar, true),
+    ] {
+        for threads in THREAD_SWEEP {
+            let ops = PHASE_OPS.map(|n| (n * cfg.micro_ops / 10_000 / threads as u64).max(1));
+            let trials: Vec<_> = (0..cfg.trials.max(1))
+                .map(|_| phase_shift_trial(mode, adaptive, threads, ops))
+                .collect();
+            for (i, phase) in PHASES.into_iter().enumerate() {
+                let (secs, stats) = trials
+                    .iter()
+                    .map(|t| &t[i])
+                    .min_by(|a, b| a.0.total_cmp(&b.0))
+                    .expect("at least one trial");
+                let spec = RunSpec {
+                    figure: "adapt-policy",
+                    workload: "phase-shift",
+                    mix: phase,
+                    mode: mode.label(),
+                    policy: if adaptive { "adaptive" } else { "fixed" },
+                    threads,
+                    ops: threads as u64 * ops[i],
+                    warmup: 0,
+                    unit: "sections/sec",
+                };
+                runs.push(spec.row(*secs, stats));
+            }
+        }
+    }
+}
+
+/// ablate-stm-algo: the NOrec side of the `ml_wt` vs NOrec comparison.
+/// The `ml_wt` side is recorded once, elsewhere: the set rows pair with
+/// fig5's 50l/25i/25r `STM` rows, the pipeline rows (an application
+/// figure) with fig2's `b100k` STM+CondVar compress rows.
+fn ablate_stm_algo(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    let norec = MicroOpts {
+        algo: StmAlgo::Norec,
+        ..MicroOpts::warmed(cfg.micro_ops)
+    };
+    for kind in ["list", "hash", "tree"] {
+        for threads in THREAD_SWEEP {
+            let (policy, mix) = (QuiescePolicy::Always, Mix::HalfLookup);
+            let figure = "ablate-stm-algo";
+            runs.push(micro_row(cfg, figure, kind, policy, mix, threads, norec));
+        }
+    }
+    if !cfg.apps {
+        return;
+    }
+    let input = sweep_input(cfg);
+    let block = PBZIP_BLOCKS[0];
+    for threads in THREAD_SWEEP {
+        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+        sys.set_stm_algo(StmAlgo::Norec);
+        let (secs, stats) = pbzip_compress_trial_on(&sys, threads, block, &input);
+        let spec = RunSpec {
+            figure: "ablate-stm-algo",
+            workload: "pbzip-compress",
+            mix: "b100k",
+            mode: AlgoMode::StmCondvar.label(),
+            policy: StmAlgo::Norec.label(),
+            threads,
+            ops: input.len() as u64,
+            warmup: pbzip_warmup_len(input.len(), block) as u64,
+            unit: "bytes/sec",
+        };
+        runs.push(spec.row(secs, &stats));
+    }
+}
+
+/// kv (reqs/sec): the sharded serving workload and the deadline/admission
+/// plane A/B; kv-sessions: the async session-multiplexing curve.
+fn kv(cfg: &EmitConfig, runs: &mut Vec<Json>) {
+    // The deadline/admission plane A/B.
     // Three runs: the quiet baseline, the hot-key storm with the plane
     // containing it, and the same storm with the plane off so the damage
     // the plane prevents stays on record.
@@ -500,9 +974,11 @@ pub fn emit_report(cfg: &EmitConfig) -> Json {
             &scfg, "threads", sessions, &report, &stats,
         ));
     }
+}
 
-    // Optimization A/Bs: one knob flipped per entry, both sides measured in
-    // this same process so the numbers are an honest pair.
+/// The optimization A/Bs: one knob flipped per entry, both sides measured
+/// in this same process so the numbers are an honest pair.
+fn optimizations(cfg: &EmitConfig) -> Vec<Json> {
     let mut optimizations = Vec::new();
     let warmed = MicroOpts::warmed(cfg.micro_ops);
 
@@ -668,37 +1144,7 @@ pub fn emit_report(cfg: &EmitConfig) -> Json {
         ab_side("mode=adaptive-htm-lazy", lazy_t, cause_fields(&lazy_s)),
         lazy_t / eager_t,
     ));
-
-    Json::Obj(vec![
-        ("schema".into(), Json::str(SCHEMA)),
-        ("schema_version".into(), Json::u64(SCHEMA_VERSION)),
-        ("pr".into(), Json::u64(PR)),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("label".into(), Json::str(cfg.label)),
-                ("threads".into(), Json::u64(cfg.threads as u64)),
-                ("micro_ops".into(), Json::u64(cfg.micro_ops)),
-                ("warmup_ops".into(), Json::u64(warm)),
-                ("pbzip_kib".into(), Json::u64(cfg.pbzip_kib as u64)),
-                ("trials".into(), Json::u64(cfg.trials as u64)),
-                ("apps".into(), Json::Bool(cfg.apps)),
-                (
-                    "sessions_curve".into(),
-                    Json::Arr(
-                        cfg.sessions_curve
-                            .iter()
-                            .map(|&s| Json::u64(s as u64))
-                            .collect(),
-                    ),
-                ),
-                ("session_requests".into(), Json::u64(cfg.session_requests)),
-                ("session_think_ns".into(), Json::u64(cfg.session_think_ns)),
-            ]),
-        ),
-        ("runs".into(), Json::Arr(runs)),
-        ("optimizations".into(), Json::Arr(optimizations)),
-    ])
+    optimizations
 }
 
 /// The document with every `"measured"` subtree removed: what must be
@@ -759,8 +1205,13 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     if runs.is_empty() {
         return Err("'runs' is empty".into());
     }
+    let mut keys = HashSet::with_capacity(runs.len());
     for (i, run) in runs.iter().enumerate() {
         validate_run(run).map_err(|e| format!("runs[{i}]: {e}"))?;
+        let key = RunKey::of(run)?;
+        if let Some(dup) = keys.replace(key) {
+            return Err(format!("runs[{i}]: duplicate run key '{dup}'"));
+        }
     }
     let opts = req(doc, "optimizations")?
         .as_arr()
@@ -853,17 +1304,41 @@ fn validate_opt(o: &Json) -> Result<(), String> {
 }
 
 /// The identity of one run: everything that must match for an old/new
-/// throughput comparison to be meaningful.
-fn run_key(run: &Json) -> Result<String, String> {
-    Ok(format!(
-        "{}/{} mix={} mode={} policy={} threads={}",
-        req_str(run, "figure")?,
-        req_str(run, "workload")?,
-        req_str(run, "mix")?,
-        req_str(run, "mode")?,
-        req_str(run, "policy")?,
-        req_u64(run, "threads")?,
-    ))
+/// throughput comparison to be meaningful. A document holds each key at
+/// most once ([`validate`] rejects duplicates); [`compare`] pairs runs by
+/// it and the trajectory table keys its rows by it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RunKey {
+    pub figure: String,
+    pub workload: String,
+    pub mix: String,
+    pub mode: String,
+    pub policy: String,
+    pub threads: u64,
+}
+
+impl RunKey {
+    /// The key fields of one run object.
+    pub fn of(run: &Json) -> Result<RunKey, String> {
+        Ok(RunKey {
+            figure: req_str(run, "figure")?.to_owned(),
+            workload: req_str(run, "workload")?.to_owned(),
+            mix: req_str(run, "mix")?.to_owned(),
+            mode: req_str(run, "mode")?.to_owned(),
+            policy: req_str(run, "policy")?.to_owned(),
+            threads: req_u64(run, "threads")?,
+        })
+    }
+}
+
+impl fmt::Display for RunKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{} mix={} mode={} policy={} threads={}",
+            self.figure, self.workload, self.mix, self.mode, self.policy, self.threads
+        )
+    }
 }
 
 /// Outcome of [`compare`]. `regressions` non-empty means the new report
@@ -888,9 +1363,13 @@ pub fn compare(old: &Json, new: &Json) -> Result<CompareOutcome, String> {
     let old_runs = old.get("runs").and_then(Json::as_arr).expect("validated");
     let new_runs = new.get("runs").and_then(Json::as_arr).expect("validated");
     let mut out = CompareOutcome::default();
+    let mut by_key = HashMap::with_capacity(new_runs.len());
+    for run in new_runs {
+        by_key.insert(RunKey::of(run)?, run);
+    }
     for run in old_runs {
-        let key = run_key(run)?;
-        let Some(newer) = new_runs.iter().find(|r| run_key(r).as_ref() == Ok(&key)) else {
+        let key = RunKey::of(run)?;
+        let Some(newer) = by_key.get(&key) else {
             return Err(format!("run '{key}' is missing from the new report"));
         };
         let old_t = req_f64(req(run, "measured")?, "ops_per_sec")?;
@@ -923,10 +1402,10 @@ pub fn synthetic_report(workloads: &[(&str, f64)]) -> Json {
             run_json(
                 &RunSpec {
                     figure: "fig5",
-                    workload: w.into(),
-                    mix: Mix::HalfLookup.label().into(),
-                    mode: AlgoMode::StmCondvar.label().into(),
-                    policy: QuiescePolicy::Selective.label().into(),
+                    workload: w,
+                    mix: Mix::HalfLookup.label(),
+                    mode: AlgoMode::StmCondvar.label(),
+                    policy: QuiescePolicy::Selective.label(),
                     threads: 2,
                     ops: 1_000,
                     warmup: 100,
@@ -1038,6 +1517,26 @@ mod tests {
             }
         });
         assert!(validate(&empty_runs).unwrap_err().contains("empty"));
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_run_keys() {
+        let doc = synthetic_report(&[("hash", 1000.0), ("tree", 500.0), ("hash", 900.0)]);
+        let err = validate(&doc).unwrap_err();
+        assert!(err.contains("runs[2]: duplicate run key"), "{err}");
+        assert!(err.contains("fig5/hash"), "{err}");
+        // A comparison never pairs against an ambiguous document.
+        let clean = synthetic_report(&[("hash", 1000.0)]);
+        assert!(compare(&clean, &doc).unwrap_err().contains("duplicate"));
+
+        // The same point at another thread count is a distinct run.
+        let mut doc = synthetic_report(&[("hash", 1000.0), ("hash", 900.0)]);
+        if let Json::Obj(fields) = &mut doc {
+            if let Some((_, Json::Arr(runs))) = fields.iter_mut().find(|(k, _)| k == "runs") {
+                replace_key(&mut runs[1], "threads", &Json::u64(8));
+            }
+        }
+        validate(&doc).unwrap();
     }
 
     /// Replace the value at key `target` anywhere in the tree.

@@ -10,22 +10,13 @@
 //! didn't exist yet.
 
 use crate::json::Json;
+use crate::perf::RunKey;
 use std::path::{Path, PathBuf};
 
 /// Schema versions this reader understands. New versions must extend the
 /// run objects, not rename the identity fields, or this range (and the
 /// table) is the test that notices.
 pub const KNOWN_SCHEMA_VERSIONS: std::ops::RangeInclusive<u64> = 1..=3;
-
-/// Identity of one benchmark point, stable across PRs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RunKey {
-    pub figure: String,
-    pub workload: String,
-    pub mix: String,
-    pub mode: String,
-    pub policy: String,
-}
 
 /// One row of the trajectory: a run key plus its throughput per PR
 /// (`None` where the PR's artifact has no such run).
@@ -75,20 +66,12 @@ fn parse_artifact(label: &str, doc: &Json) -> Result<(u64, Vec<ParsedRun>), Stri
         .ok_or_else(|| format!("{label}: missing runs array"))?;
     let mut out = Vec::with_capacity(runs.len());
     for (i, run) in runs.iter().enumerate() {
-        let field = |name: &str| {
-            run.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{label}: run {i} missing `{name}`"))
-        };
-        let key = RunKey {
-            figure: field("figure")?,
-            workload: field("workload")?,
-            mix: field("mix")?,
-            mode: field("mode")?,
-            policy: field("policy")?,
-        };
-        let unit = field("unit")?;
+        let key = RunKey::of(run).map_err(|e| format!("{label}: run {i}: {e}"))?;
+        let unit = run
+            .get("unit")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("{label}: run {i} missing `unit`"))?
+            .to_owned();
         let ops = run
             .get("measured")
             .and_then(|m| m.get("ops_per_sec"))
@@ -196,8 +179,8 @@ pub fn render(t: &Trajectory) -> String {
                 row.key.figure
             ));
             let mut header = format!(
-                "{:<18} {:<8} {:<14} {:<10}",
-                "workload", "mix", "mode", "policy"
+                "{:<18} {:<11} {:<21} {:<15} {:>7}",
+                "workload", "mix", "mode", "policy", "threads"
             );
             for pr in &t.prs {
                 header.push_str(&format!(" {:>9}", format!("PR {pr}")));
@@ -208,8 +191,8 @@ pub fn render(t: &Trajectory) -> String {
             out.push('\n');
         }
         let mut line = format!(
-            "{:<18} {:<8} {:<14} {:<10}",
-            row.key.workload, row.key.mix, row.key.mode, row.key.policy
+            "{:<18} {:<11} {:<21} {:<15} {:>7}",
+            row.key.workload, row.key.mix, row.key.mode, row.key.policy, row.key.threads
         );
         for cell in &row.ops_per_sec {
             line.push_str(&format!(
@@ -228,15 +211,21 @@ mod tests {
     use super::*;
 
     fn artifact(pr: u64, version: u64, runs: &[(&str, &str, f64)]) -> (String, Json) {
+        let runs: Vec<_> = runs.iter().map(|&(f, m, ops)| (f, m, 4, ops)).collect();
+        artifact_threads(pr, version, &runs)
+    }
+
+    fn artifact_threads(pr: u64, version: u64, runs: &[(&str, &str, u64, f64)]) -> (String, Json) {
         let runs = runs
             .iter()
-            .map(|(figure, mode, ops)| {
+            .map(|(figure, mode, threads, ops)| {
                 Json::Obj(vec![
                     ("figure".into(), Json::str(*figure)),
                     ("workload".into(), Json::str("w")),
                     ("mix".into(), Json::str("-")),
                     ("mode".into(), Json::str(*mode)),
                     ("policy".into(), Json::str("-")),
+                    ("threads".into(), Json::u64(*threads)),
                     ("unit".into(), Json::str("ops/sec")),
                     (
                         "measured".into(),
@@ -294,6 +283,30 @@ mod tests {
             .find(|l| l.starts_with('w') && text[..text.find(l).unwrap()].contains("== kv"))
             .unwrap();
         assert!(kv_line.contains('-'), "{kv_line}");
+    }
+
+    #[test]
+    fn runs_differing_only_in_threads_are_separate_rows() {
+        let t = assemble(&[artifact_threads(
+            13,
+            3,
+            &[("fig5", "STM", 1, 100.0), ("fig5", "STM", 8, 300.0)],
+        )])
+        .unwrap();
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows[0].ops_per_sec, vec![Some(100.0)]);
+        assert_eq!(t.rows[1].ops_per_sec, vec![Some(300.0)]);
+        let text = render(&t);
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with("w ")).collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(
+            lines[0].contains("      1") && lines[0].contains("100.0"),
+            "{text}"
+        );
+        assert!(
+            lines[1].contains("      8") && lines[1].contains("300.0"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! Shared workload runners used by the figure benches.
+//! The trial runners behind every `tle-bench emit` figure: each takes the
+//! figure's independent variables, runs one measured window, and returns
+//! the elapsed time or throughput together with the TM counters.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Instant;
 use tle_base::stats::TxStatsSnapshot;
-use tle_base::{AbortCause, OrecLayout, Padded, TCell};
-use tle_core::{AlgoMode, ElidableMutex, ThreadHandle, TmSystem};
+use tle_base::{AbortCause, OrecLayout, OrecTable, Padded, TCell};
+use tle_core::{AdaptiveConfig, AlgoMode, ElidableMutex, ThreadHandle, TmSystem};
+use tle_htm::HtmConfig;
 use tle_pbz::{compress_parallel, decompress_parallel, PipelineConfig};
-use tle_stm::QuiescePolicy;
+use tle_stm::{QuiescePolicy, StmGlobal};
 use tle_txset::{TxHashSet, TxListSet, TxSet, TxTreeSet};
+use tle_wfe::lookahead::{NestedQueue, ReadyQueue};
 use tle_wfe::{encode_video, EncoderConfig, VideoSource};
 
 /// Statistics harvested after a trial.
@@ -18,9 +24,6 @@ pub struct TrialStats {
     pub htm: TxStatsSnapshot,
     pub htm_commits: u64,
     pub htm_aborts: u64,
-    pub htm_conflicts: u64,
-    pub htm_capacity: u64,
-    pub htm_events: u64,
     pub serial_fallbacks: u64,
 }
 
@@ -32,9 +35,6 @@ impl TrialStats {
             htm: sys.htm.stats.tx.snapshot(),
             htm_commits: sys.htm.stats.tx.commits.get(),
             htm_aborts: sys.htm.stats.tx.aborts.get(),
-            htm_conflicts: sys.htm.stats.conflict_aborts.get(),
-            htm_capacity: sys.htm.stats.capacity_aborts.get(),
-            htm_events: sys.htm.stats.event_aborts.get(),
             serial_fallbacks: sys.stats.serial_fallbacks.get(),
         }
     }
@@ -63,29 +63,15 @@ impl TrialStats {
         }
         out
     }
-
-    /// HTM abort rate over attempts.
-    pub fn htm_abort_rate(&self) -> f64 {
-        let attempts = self.htm_commits + self.htm_aborts;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.htm_aborts as f64 / attempts as f64
-        }
-    }
-
-    /// Serial-fallback rate over completed critical sections.
-    pub fn fallback_rate(&self) -> f64 {
-        let total = self.htm_commits + self.stm.commits + self.serial_fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.serial_fallbacks as f64 / total as f64
-        }
-    }
 }
 
-/// One PBZip2 trial: compress (and optionally verify-decompress) `input`.
+/// Bytes of `input` a PBZip2 compress trial warms up on: one block, capped
+/// at 64 KiB so large-block panels do not pay for their input twice.
+pub fn pbzip_warmup_len(input_len: usize, block_size: usize) -> usize {
+    input_len.min(block_size).min(64 * 1024)
+}
+
+/// One PBZip2 trial: compress `input`.
 ///
 /// Like every trial runner, this warms the system first (one pipeline pass
 /// over a small prefix, so thread handles, FIFO slots, and transaction
@@ -97,20 +83,30 @@ pub fn pbzip_compress_trial(
     block_size: usize,
     input: &[u8],
 ) -> (f64, TrialStats) {
-    let sys = Arc::new(TmSystem::new(mode));
+    pbzip_compress_trial_on(&Arc::new(TmSystem::new(mode)), workers, block_size, input)
+}
+
+/// [`pbzip_compress_trial`] on a caller-configured system (the HTM-retry
+/// and STM-algorithm ablations tune theirs).
+pub fn pbzip_compress_trial_on(
+    sys: &Arc<TmSystem>,
+    workers: usize,
+    block_size: usize,
+    input: &[u8],
+) -> (f64, TrialStats) {
     let cfg = PipelineConfig {
         workers,
         block_size,
         fifo_cap: 2 * workers.max(2),
     };
-    let warm = &input[..input.len().min(block_size)];
-    std::hint::black_box(compress_parallel(&sys, warm, &cfg));
+    let warm = &input[..pbzip_warmup_len(input.len(), block_size)];
+    std::hint::black_box(compress_parallel(sys, warm, &cfg));
     sys.reset_stats();
-    let t0 = std::time::Instant::now();
-    let out = compress_parallel(&sys, input, &cfg);
+    let t0 = Instant::now();
+    let out = compress_parallel(sys, input, &cfg);
     let secs = t0.elapsed().as_secs_f64();
     assert!(!out.is_empty() || input.is_empty());
-    (secs, TrialStats::capture(&sys))
+    (secs, TrialStats::capture(sys))
 }
 
 /// One PBZip2 decompression trial (warmed up on a small synthetic blob,
@@ -130,7 +126,7 @@ pub fn pbzip_decompress_trial(
     let warm = compress_parallel(&sys, &tle_pbz::gen_text(7, 4096), &cfg);
     std::hint::black_box(decompress_parallel(&sys, &warm, &cfg).expect("warmup decompress"));
     sys.reset_stats();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let out = decompress_parallel(&sys, compressed, &cfg).expect("decompress failed");
     let secs = t0.elapsed().as_secs_f64();
     std::hint::black_box(&out);
@@ -146,15 +142,15 @@ pub enum VideoSize {
 }
 
 impl VideoSize {
+    /// The three inputs in the paper's order.
+    pub const ALL: [VideoSize; 3] = [VideoSize::Small, VideoSize::Medium, VideoSize::Large];
+
     /// (width, height, frames), scaled down per DESIGN.md §3.5.
-    pub fn params(self, full: bool) -> (usize, usize, usize) {
-        match (self, full) {
-            (VideoSize::Small, false) => (96, 64, 8),
-            (VideoSize::Medium, false) => (160, 96, 10),
-            (VideoSize::Large, false) => (240, 144, 12),
-            (VideoSize::Small, true) => (160, 96, 24),
-            (VideoSize::Medium, true) => (320, 192, 32),
-            (VideoSize::Large, true) => (480, 288, 48),
+    pub fn params(self) -> (usize, usize, usize) {
+        match self {
+            VideoSize::Small => (96, 64, 8),
+            VideoSize::Medium => (160, 96, 10),
+            VideoSize::Large => (240, 144, 12),
         }
     }
 
@@ -168,25 +164,19 @@ impl VideoSize {
 }
 
 /// One x265 trial: encode the synthetic sequence.
-pub fn x265_trial(
-    mode: AlgoMode,
-    workers: usize,
-    size: VideoSize,
-    full: bool,
-) -> (f64, TrialStats) {
-    x265_trial_cfg(mode, workers, size, full, tle_htm::HtmConfig::default())
+pub fn x265_trial(mode: AlgoMode, workers: usize, size: VideoSize) -> (f64, TrialStats) {
+    x265_trial_cfg(mode, workers, size, HtmConfig::default())
 }
 
 /// [`x265_trial`] with an explicit HTM configuration (used by Figure 4's
-/// elevated-event-pressure table).
+/// elevated-event-pressure rows).
 pub fn x265_trial_cfg(
     mode: AlgoMode,
     workers: usize,
     size: VideoSize,
-    full: bool,
-    htm_cfg: tle_htm::HtmConfig,
+    htm_cfg: HtmConfig,
 ) -> (f64, TrialStats) {
-    let (w, h, n) = size.params(full);
+    let (w, h, n) = size.params();
     let source = VideoSource::new(w, h, n, 0xFEED);
     let sys = Arc::new(TmSystem::builder().mode(mode).htm_config(htm_cfg).build());
     let cfg = EncoderConfig {
@@ -204,7 +194,7 @@ pub fn x265_trial_cfg(
     let warm_src = VideoSource::new(w, h, 2, 0xFEED);
     std::hint::black_box(encode_video(&sys, &warm_src, &cfg));
     sys.reset_stats();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let v = encode_video(&sys, &source, &cfg);
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(v.frames.len(), n);
@@ -231,10 +221,10 @@ pub fn lazy_subscription_trial(
         lines >= 2,
         "need at least one shared line plus the private one"
     );
-    let htm_cfg = tle_htm::HtmConfig {
+    let htm_cfg = HtmConfig {
         read_cap_lines: lines,
         event_prob: 0.0, // deterministic: capacity and conflict aborts only
-        ..tle_htm::HtmConfig::default()
+        ..HtmConfig::default()
     };
     let sys = Arc::new(TmSystem::builder().mode(mode).htm_config(htm_cfg).build());
     let lock = Arc::new(ElidableMutex::new("lazy-ab"));
@@ -242,7 +232,7 @@ pub fn lazy_subscription_trial(
         Arc::new((0..lines - 1).map(|_| Padded(TCell::new(1u64))).collect());
     let privs: Arc<Vec<Padded<TCell<u64>>>> =
         Arc::new((0..threads).map(|_| Padded(TCell::new(0u64))).collect());
-    let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
+    let barrier = Arc::new(Barrier::new(threads + 1));
     let warmup_ops = ops_per_thread / 10;
     let handles: Vec<_> = (0..threads)
         .map(|t| {
@@ -279,7 +269,7 @@ pub fn lazy_subscription_trial(
     barrier.wait(); // sync0
     barrier.wait(); // sync1
     sys.reset_stats();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     barrier.wait(); // sync2
     for h in handles {
         h.join().unwrap();
@@ -384,36 +374,13 @@ pub fn micro_trial(
     mix: Mix,
     ops_per_thread: u64,
 ) -> (f64, TrialStats) {
-    micro_trial_algo(
-        kind,
-        policy,
-        tle_stm::StmAlgo::MlWt,
-        threads,
-        mix,
-        ops_per_thread,
-    )
-}
-
-/// [`micro_trial`] with an explicit STM algorithm (the `ablate_stm_algo`
-/// bench).
-pub fn micro_trial_algo(
-    kind: &str,
-    policy: QuiescePolicy,
-    algo: tle_stm::StmAlgo,
-    threads: usize,
-    mix: Mix,
-    ops_per_thread: u64,
-) -> (f64, TrialStats) {
     micro_trial_opts(
         kind,
         policy,
         threads,
         mix,
         ops_per_thread,
-        MicroOpts {
-            algo,
-            ..MicroOpts::warmed(ops_per_thread)
-        },
+        MicroOpts::warmed(ops_per_thread),
     )
 }
 
@@ -489,7 +456,7 @@ pub fn micro_trial_opts(
         let th = sys.register();
         prefill(&*set, &th);
     }
-    let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
+    let barrier = Arc::new(Barrier::new(threads + 1));
     let warmup_ops = opts.warmup_ops;
     let handles: Vec<_> = (0..threads)
         .map(|t| {
@@ -516,7 +483,7 @@ pub fn micro_trial_opts(
     barrier.wait(); // sync0
     barrier.wait(); // sync1
     sys.reset_stats();
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     barrier.wait(); // sync2
     for h in handles {
         h.join().unwrap();
@@ -526,6 +493,552 @@ pub fn micro_trial_opts(
     tle_stm::set_buf_reuse(reuse_before);
     let total_ops = threads as f64 * ops_per_thread as f64;
     (total_ops / secs, stats)
+}
+
+/// §IV drain scaling: one committer runs `ops` single-cell increments on
+/// its own lock while `active` background threads run short back-to-back
+/// transactions on theirs, so every drain the committer's policy orders
+/// has their slots to poll. Returns the committer's seconds.
+pub fn drain_scaling_trial(policy: QuiescePolicy, active: usize, ops: u64) -> (f64, TrialStats) {
+    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+    sys.stm.set_policy(policy);
+    let stop = Arc::new(AtomicBool::new(false));
+    let bg: Vec<_> = (0..active)
+        .map(|i| {
+            let sys = Arc::clone(&sys);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let th = sys.register();
+                let lock = ElidableMutex::new("bg");
+                let cell = TCell::new(0u64);
+                let mut spin = i as u64;
+                while !stop.load(Ordering::Relaxed) {
+                    th.tx(&lock).run(|ctx| {
+                        ctx.update(&cell, |v| v + 1)?;
+                        Ok(())
+                    });
+                    // Hold some non-transactional time so drains
+                    // actually observe running transactions.
+                    spin = spin.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    if spin.is_multiple_of(4) {
+                        std::hint::spin_loop();
+                    }
+                }
+            })
+        })
+        .collect();
+    let th = sys.register();
+    let lock = ElidableMutex::new("fg");
+    let cell = TCell::new(0u64);
+    sys.reset_stats();
+    let t0 = Instant::now();
+    for _ in 0..ops {
+        th.tx(&lock).run(|ctx| {
+            ctx.update(&cell, |v| v + 1)?;
+            Ok(())
+        });
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    let stats = TrialStats::capture(&sys);
+    stop.store(true, Ordering::Relaxed);
+    for h in bg {
+        h.join().unwrap();
+    }
+    (secs, stats)
+}
+
+/// §IV coupling: `committers` threads each run `ops` single-cell
+/// increments on their own locks while, with `long_tx`, one more thread
+/// keeps a long read-mostly transaction in flight. A drain-everything
+/// policy makes every unrelated commit wait for it; `no_quiesce` marks
+/// each committer's section `TM_NoQuiesce`, which removes that coupling.
+/// Returns the committers' seconds.
+pub fn long_tx_trial(
+    policy: QuiescePolicy,
+    no_quiesce: bool,
+    long_tx: bool,
+    committers: usize,
+    ops: u64,
+) -> (f64, TrialStats) {
+    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+    sys.stm.set_policy(policy);
+    let stop = Arc::new(AtomicBool::new(false));
+    let long = long_tx.then(|| {
+        let sys = Arc::clone(&sys);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let th = sys.register();
+            let lock = ElidableMutex::new("long");
+            let cells: Vec<TCell<u64>> = (0..512).map(TCell::new).collect();
+            while !stop.load(Ordering::Relaxed) {
+                // A transaction that reads a lot and dawdles.
+                th.tx(&lock).run(|ctx| {
+                    let mut acc = 0u64;
+                    for c in &cells {
+                        acc = acc.wrapping_add(ctx.read(c)?);
+                    }
+                    for _ in 0..2000 {
+                        std::hint::spin_loop();
+                    }
+                    std::hint::black_box(acc);
+                    Ok(())
+                });
+            }
+        })
+    });
+    let barrier = Arc::new(Barrier::new(committers + 1));
+    let handles: Vec<_> = (0..committers)
+        .map(|_| {
+            let sys = Arc::clone(&sys);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let th = sys.register();
+                let lock = ElidableMutex::new("fg");
+                let cell = TCell::new(0u64);
+                barrier.wait(); // sync0: everyone registered
+                barrier.wait(); // sync1: measured window opens
+                for _ in 0..ops {
+                    th.tx(&lock).run(|ctx| {
+                        ctx.update(&cell, |v| v + 1)?;
+                        if no_quiesce {
+                            ctx.no_quiesce();
+                        }
+                        Ok(())
+                    });
+                }
+            })
+        })
+        .collect();
+    barrier.wait(); // sync0
+    sys.reset_stats();
+    let t0 = Instant::now();
+    barrier.wait(); // sync1
+    for h in handles {
+        h.join().unwrap();
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    let stats = TrialStats::capture(&sys);
+    stop.store(true, Ordering::Relaxed);
+    if let Some(h) = long {
+        h.join().unwrap();
+    }
+    (secs, stats)
+}
+
+/// Simulated §V produce step (the work x265 does per lookahead node: a
+/// frame complexity estimate that dwarfs the queue ops, as in the paper's
+/// setting where the parity claim is made).
+fn produce_work(i: u64) -> u64 {
+    let mut acc = i;
+    for _ in 0..20_000 {
+        acc = acc
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+    }
+    acc
+}
+
+/// §V Listing 3: `producers` threads each push `per_producer` items
+/// through the lookahead queue, producing every item while holding the
+/// queue lock. That shape is not two-phase, so it runs on plain locks
+/// only. Returns seconds until one consumer drained everything.
+pub fn nested_queue_trial(producers: usize, per_producer: u64) -> f64 {
+    let q: Arc<NestedQueue<u64>> = Arc::new(NestedQueue::new());
+    let t0 = Instant::now();
+    let handles: Vec<_> = (0..producers as u64)
+        .map(|p| {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                for i in 0..per_producer {
+                    q.produce_while_locked(|| Box::new(produce_work(p * per_producer + i)));
+                }
+            })
+        })
+        .collect();
+    let consumer = {
+        let q = Arc::clone(&q);
+        std::thread::spawn(move || {
+            while let Some(v) = q.pop() {
+                std::hint::black_box(*v);
+            }
+        })
+    };
+    for h in handles {
+        h.join().unwrap();
+    }
+    q.close();
+    consumer.join().unwrap();
+    t0.elapsed().as_secs_f64()
+}
+
+/// §V Listing 4: the [`nested_queue_trial`] traffic through the ready-flag
+/// queue under `mode`: reserve a slot under the lock, produce outside it,
+/// publish. This is the shape TLE can elide.
+pub fn ready_queue_trial(mode: AlgoMode, producers: usize, per_producer: u64) -> (f64, TrialStats) {
+    let sys = Arc::new(TmSystem::new(mode));
+    let q: Arc<ReadyQueue<u64>> = Arc::new(ReadyQueue::new(64));
+    let t0 = Instant::now();
+    let handles: Vec<_> = (0..producers as u64)
+        .map(|p| {
+            let sys = Arc::clone(&sys);
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let th = sys.register();
+                for i in 0..per_producer {
+                    let Some(r) = q.reserve(&th) else { break };
+                    let item = produce_work(p * per_producer + i);
+                    q.publish(&th, r, Box::new(item));
+                }
+            })
+        })
+        .collect();
+    let consumer = {
+        let sys = Arc::clone(&sys);
+        let q = Arc::clone(&q);
+        std::thread::spawn(move || {
+            let th = sys.register();
+            while let Some(v) = q.pop_ready(&th) {
+                std::hint::black_box(*v);
+            }
+        })
+    };
+    for h in handles {
+        h.join().unwrap();
+    }
+    q.close(&sys.register());
+    consumer.join().unwrap();
+    (t0.elapsed().as_secs_f64(), TrialStats::capture(&sys))
+}
+
+/// §II-C fallback models: each of `threads` threads increments its own
+/// cell under its own lock (fully disjoint), `ops` times, while the
+/// simulated HTM injects event aborts at `event_prob`. `HtmCondvar` routes
+/// every failure through the global serial gate and so suspends the other
+/// threads; `AdaptiveHtm` falls back to the one failing lock.
+pub fn disjoint_locks_trial(
+    mode: AlgoMode,
+    threads: usize,
+    event_prob: f64,
+    ops: u64,
+) -> (f64, TrialStats) {
+    let sys = Arc::new(
+        TmSystem::builder()
+            .mode(mode)
+            .htm_config(HtmConfig {
+                event_prob,
+                ..HtmConfig::default()
+            })
+            .build(),
+    );
+    // Cache-line padding matters here exactly as on real TSX: adjacent
+    // lock words would share a conflict-table line and make "disjoint"
+    // locks alias (the classic lock-elision false-sharing gotcha).
+    let locks: Arc<Vec<Padded<ElidableMutex>>> = Arc::new(
+        (0..threads)
+            .map(|_| Padded(ElidableMutex::new("disjoint")))
+            .collect(),
+    );
+    let cells: Arc<Vec<Padded<TCell<u64>>>> =
+        Arc::new((0..threads).map(|_| Padded(TCell::new(0))).collect());
+    let barrier = Arc::new(Barrier::new(threads + 1));
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let sys = Arc::clone(&sys);
+            let locks = Arc::clone(&locks);
+            let cells = Arc::clone(&cells);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let th = sys.register();
+                barrier.wait(); // sync0: everyone registered
+                barrier.wait(); // sync1: measured window opens
+                for _ in 0..ops {
+                    th.tx(&locks[t]).run(|ctx| {
+                        ctx.update(&cells[t], |v| v + 1)?;
+                        Ok(())
+                    });
+                }
+            })
+        })
+        .collect();
+    barrier.wait(); // sync0
+    sys.reset_stats();
+    let t0 = Instant::now();
+    barrier.wait(); // sync1
+    for h in handles {
+        h.join().unwrap();
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    for c in cells.iter() {
+        assert_eq!(c.load_direct(), ops, "a disjoint-lock increment was lost");
+    }
+    (secs, TrialStats::capture(&sys))
+}
+
+/// The phases of the adaptive-policy workload, in run order:
+///
+/// - **capacity**: every section writes more lines than the simulated
+///   HTM's write capacity, from per-thread disjoint regions. HTM burns two
+///   doomed passes per section before convoying through the serial gate;
+///   STM commits first try.
+/// - **storm**: read-modify-write of one hot pair with a scheduler yield
+///   between the reads and the writes, so another thread's commit lands
+///   mid-section. Every speculative flavour pays repeated doomed passes;
+///   the plain lock just holds the mutex across the yield.
+/// - **read-mostly**: read-dominated sections with rare writes. Elision
+///   commits without bouncing the lock word.
+pub const PHASES: [&str; 3] = ["capacity", "storm", "read-mostly"];
+
+/// Per-thread section counts of each of the [`PHASES`] in the four-thread
+/// reference run.
+pub const PHASE_OPS: [u64; 3] = [320, 10_000, 16_000];
+
+/// More distinct cache lines than the simulated HTM's `write_cap_lines`
+/// (128). The cells must be line-`Padded`: contiguous `TCell<u64>`s pack
+/// eight to a line and would never overflow the write set.
+const CAP_CELLS: usize = 144;
+
+/// Ballast rounds per phase: multiply-rotate chains on a local, sized so
+/// per-access instrumentation stays a small fraction of section cost. What
+/// separates the policies is then the wasted work each causes: doomed
+/// passes, retries, serial convoys.
+const PHASE_BALLAST: [u32; 3] = [896, 256, 480];
+
+/// Plain compute: the uninstrumented "real work" of a critical section.
+#[inline(always)]
+fn churn(mut x: u64, rounds: u32) -> u64 {
+    for _ in 0..rounds {
+        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
+    }
+    x
+}
+
+/// Shared state of the [`PHASES`] workload.
+struct PhaseCells {
+    /// Per-thread disjoint write regions (capacity phase), one cell per
+    /// cache line so each counts against the HTM write capacity.
+    regions: Vec<Vec<Padded<TCell<u64>>>>,
+    /// The contended pair (storm phase).
+    hot: Vec<Padded<TCell<u64>>>,
+    /// The read-mostly array.
+    cold: Vec<TCell<u64>>,
+}
+
+/// One phase with `threads` workers aligned on a barrier; returns seconds.
+fn run_phase(
+    sys: &Arc<TmSystem>,
+    lock: &ElidableMutex,
+    w: &Arc<PhaseCells>,
+    phase: usize,
+    threads: usize,
+    ops: u64,
+) -> f64 {
+    let barrier = Arc::new(Barrier::new(threads + 1));
+    let ballast = PHASE_BALLAST[phase];
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let sys = Arc::clone(sys);
+            let lock = lock.clone();
+            let w = Arc::clone(w);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let th = sys.register();
+                barrier.wait(); // sync0: everyone registered
+                barrier.wait(); // sync1: phase opens
+                let mut acc = 0u64;
+                match phase {
+                    0 => {
+                        for _ in 0..ops {
+                            th.tx(&lock).run(|ctx| {
+                                for c in &w.regions[t] {
+                                    let v = ctx.read(&**c)?;
+                                    ctx.write(&**c, churn(v, ballast).wrapping_add(1))?;
+                                }
+                                Ok(())
+                            });
+                        }
+                    }
+                    1 => {
+                        for _ in 0..ops {
+                            th.tx(&lock).run(|ctx| {
+                                let a = ctx.read(&*w.hot[0])?;
+                                let b = ctx.read(&*w.hot[1])?;
+                                // Mid-section yield: on one CPU this hands
+                                // the core to a sibling whose commit then
+                                // invalidates our reads — the interleaving
+                                // a multi-core box produces for free.
+                                std::thread::yield_now();
+                                ctx.write(&*w.hot[0], churn(a, ballast) | 1)?;
+                                ctx.write(&*w.hot[1], churn(b, ballast) | 1)?;
+                                Ok(())
+                            });
+                        }
+                    }
+                    _ => {
+                        for i in 0..ops {
+                            acc ^= th.tx(&lock).run(|ctx| {
+                                let mut sum = 0u64;
+                                for c in &w.cold {
+                                    sum ^= churn(ctx.read(c)?, ballast);
+                                }
+                                if i % 64 == 0 {
+                                    ctx.write(&w.cold[0], sum | 1)?;
+                                }
+                                Ok(sum)
+                            });
+                            if i % 16 == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                }
+                std::hint::black_box(acc);
+            })
+        })
+        .collect();
+    barrier.wait(); // sync0
+    let t0 = Instant::now();
+    barrier.wait(); // sync1
+    for h in handles {
+        h.join().unwrap();
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// The [`PHASES`] back to back on one lock under `mode`, or, with
+/// `adaptive`, under the per-lock feedback controller starting from
+/// `mode`. `ops[i]` is each thread's section count in phase `i`. Returns
+/// per-phase seconds and counters.
+pub fn phase_shift_trial(
+    mode: AlgoMode,
+    adaptive: bool,
+    threads: usize,
+    ops: [u64; 3],
+) -> [(f64, TrialStats); 3] {
+    let sys = Arc::new(
+        TmSystem::builder()
+            .mode(mode)
+            .adaptive(adaptive)
+            .adaptive_config(AdaptiveConfig {
+                // React within a couple of controller steps of a phase
+                // change, and keep baseline probes rare enough that a
+                // storm parked on the lock pays ~1% speculative probing.
+                min_dwell_steps: 2,
+                min_window_samples: 16,
+                baseline_probe_steps: 200,
+                ..AdaptiveConfig::default()
+            })
+            .build(),
+    );
+    let lock = ElidableMutex::new("adapt-bench");
+    let w = Arc::new(PhaseCells {
+        regions: (0..threads)
+            .map(|_| (0..CAP_CELLS).map(|_| Padded(TCell::new(0))).collect())
+            .collect(),
+        hot: (0..2).map(|_| Padded(TCell::new(0))).collect(),
+        cold: (0..8).map(|_| TCell::new(0)).collect(),
+    });
+    let ctrl = adaptive.then(|| {
+        sys.adopt_lock(&lock);
+        sys.start_controller(std::time::Duration::from_millis(1))
+    });
+    let out = std::array::from_fn(|phase| {
+        sys.reset_stats();
+        let secs = run_phase(&sys, &lock, &w, phase, threads, ops[phase]);
+        (secs, TrialStats::capture(&sys))
+    });
+    if let Some(c) = ctrl {
+        c.stop();
+    }
+    out
+}
+
+/// Time `iters` calls of `op` with one plain loop (no per-call clock
+/// reads); returns seconds.
+fn time_loop(iters: u64, mut op: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        op();
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// Engineering baselines beneath every figure, single-threaded: `iters`
+/// calls of each TCell, orec and raw `ml_wt` primitive. Returns
+/// `(workload, policy, seconds)`; the STM rows' policy is the quiescence
+/// policy of their domain, `-` elsewhere.
+pub fn primitive_trials(iters: u64) -> Vec<(&'static str, &'static str, f64)> {
+    use std::hint::black_box;
+    let cell = TCell::new(7u64);
+    let t = OrecTable::new();
+    let i = t.index_of(0x1000);
+    let mut out = vec![
+        (
+            "tcell-load",
+            "-",
+            time_loop(iters, || {
+                black_box(cell.load_direct());
+            }),
+        ),
+        (
+            "tcell-store",
+            "-",
+            time_loop(iters, || cell.store_direct(black_box(9u64))),
+        ),
+        (
+            "orec-index",
+            "-",
+            time_loop(iters, || {
+                black_box(t.index_of(black_box(0xDEAD_BEEF)));
+            }),
+        ),
+        (
+            "orec-lock-release",
+            "-",
+            time_loop(iters, || {
+                let seen = t.load(i);
+                assert!(t.try_lock(i, seen, 1));
+                t.release(i, (seen >> 1) + 1);
+            }),
+        ),
+    ];
+    for policy in [QuiescePolicy::Never, QuiescePolicy::Always] {
+        let g = StmGlobal::new(policy);
+        let slot = g.slots.register_raw().unwrap();
+        let cell = TCell::new(0u64);
+        if policy == QuiescePolicy::Never {
+            let ro = time_loop(iters, || {
+                let mut tx = g.begin(slot);
+                black_box(tx.read(&cell).unwrap());
+                tx.commit().unwrap();
+            });
+            out.push(("stm-ro-1read", policy.label(), ro));
+        }
+        let rw = time_loop(iters, || {
+            let mut tx = g.begin(slot);
+            tx.update(&cell, |v| v + 1).unwrap();
+            tx.commit().unwrap();
+        });
+        out.push(("stm-rw-1write", policy.label(), rw));
+        g.slots.unregister_raw(slot);
+    }
+    out
+}
+
+/// `tle/incr/<mode>`: `iters` single-cell increments, each one section
+/// through the full elision runner on one thread. Returns seconds.
+pub fn tle_incr_trial(mode: AlgoMode, iters: u64) -> (f64, TrialStats) {
+    let sys = Arc::new(TmSystem::new(mode));
+    let th = sys.register();
+    let lock = ElidableMutex::new("bench");
+    let cell = TCell::new(0u64);
+    let secs = time_loop(iters, || {
+        th.tx(&lock).run(|ctx| {
+            ctx.update(&cell, |v| v + 1)?;
+            Ok(())
+        })
+    });
+    assert_eq!(cell.load_direct(), iters);
+    (secs, TrialStats::capture(&sys))
 }
 
 #[cfg(test)]
@@ -542,7 +1055,7 @@ mod tests {
 
     #[test]
     fn x265_trial_smoke() {
-        let (secs, stats) = x265_trial(AlgoMode::HtmCondvar, 2, VideoSize::Small, false);
+        let (secs, stats) = x265_trial(AlgoMode::HtmCondvar, 2, VideoSize::Small);
         assert!(secs > 0.0);
         assert!(stats.htm_commits > 0, "no HTM commits recorded");
     }
@@ -574,10 +1087,6 @@ mod tests {
     /// runner with hardware knobs tuned to force each one.
     #[test]
     fn every_abort_cause_is_reachable_and_counted() {
-        use tle_base::{Padded, TCell};
-        use tle_core::ElidableMutex;
-        use tle_htm::HtmConfig;
-
         // --- STM: ReadConflict, WriteConflict, ValidationFailed,
         //     CommitValidation, Explicit ---
         // `Never`: a committing writer must not drain quiescence here — the

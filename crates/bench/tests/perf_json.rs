@@ -2,9 +2,11 @@
 //! regression verdicts, byte-identical round-trips, and determinism of the
 //! report's stable view across repeated emits.
 
+use std::sync::OnceLock;
 use tle_bench::json::Json;
 use tle_bench::perf::{
-    compare, emit_report, stable_view, synthetic_report, validate, EmitConfig, TOLERANCE,
+    compare, emit_report, stable_view, synthetic_report, validate, EmitConfig, THREAD_SWEEP,
+    TOLERANCE,
 };
 
 /// Emits toggle process-global knobs (buffer reuse, its alloc counters)
@@ -16,8 +18,15 @@ fn emit_serialized(cfg: &EmitConfig) -> Json {
     emit_report(cfg)
 }
 
-/// A tiny real-emit configuration: microbenchmarks only, small op counts,
-/// so the full pipeline (workload -> stats -> JSON) runs in test time.
+/// One [`tiny`] emit shared by the tests that only inspect a report.
+fn tiny_report() -> &'static Json {
+    static REPORT: OnceLock<Json> = OnceLock::new();
+    REPORT.get_or_init(|| emit_serialized(&tiny()))
+}
+
+/// A tiny real-emit configuration: no application figures, small op
+/// counts, so the full pipeline (workload -> stats -> JSON) runs in test
+/// time.
 fn tiny() -> EmitConfig {
     EmitConfig {
         label: "test",
@@ -54,8 +63,8 @@ fn injected_regression_is_flagged_and_tolerance_respected() {
 
 #[test]
 fn real_emit_validates_and_round_trips_byte_identically() {
-    let report = emit_serialized(&tiny());
-    validate(&report).expect("real emit must satisfy its own schema");
+    let report = tiny_report();
+    validate(report).expect("real emit must satisfy its own schema");
     let rendered = report.render();
     let reparsed = Json::parse(&rendered).expect("emitted JSON must parse");
     assert_eq!(
@@ -67,24 +76,57 @@ fn real_emit_validates_and_round_trips_byte_identically() {
 
 #[test]
 fn repeated_emits_are_deterministic_modulo_timing() {
-    let a = emit_serialized(&tiny());
-    let b = emit_serialized(&tiny());
+    let a = tiny_report();
+    let b = &emit_serialized(&tiny());
     assert_eq!(
         stable_view(&a).render(),
         stable_view(&b).render(),
         "two emits of the same config must differ only in measured subtrees"
     );
     // And a report always compares clean against itself.
-    let self_cmp = compare(&a, &a).unwrap();
+    let self_cmp = compare(a, a).unwrap();
     assert!(self_cmp.regressions.is_empty());
     assert!(self_cmp.improvements.is_empty());
     assert!(self_cmp.compared >= 5, "expected all fig5 runs compared");
 }
 
 #[test]
+fn emit_covers_every_non_application_figure_over_the_thread_sweep() {
+    let runs = tiny_report().get("runs").and_then(Json::as_arr).unwrap();
+    let field = |r: &Json, k: &str| r.get(k).and_then(Json::as_str).unwrap().to_owned();
+    for figure in [
+        "fig5",
+        "kv",
+        "kv-sessions",
+        "primitives",
+        "ablate-quiesce",
+        "ablate-ready-flag",
+        "ablate-fallback",
+        "adapt-policy",
+        "ablate-stm-algo",
+    ] {
+        assert!(
+            runs.iter().any(|r| field(r, "figure") == figure),
+            "no {figure} rows"
+        );
+    }
+    // The application figures are the ones `apps: false` leaves out.
+    assert!(!runs.iter().any(|r| field(r, "figure") == "fig2"));
+    // Every point of Figure 5's grid, at every swept thread count.
+    let fig5 = |t: u64| {
+        runs.iter()
+            .filter(|r| field(r, "figure") == "fig5" && field(r, "mix") != "90l/5i/5r")
+            .filter(|r| r.get("threads").and_then(Json::as_u64) == Some(t))
+            .count()
+    };
+    for t in THREAD_SWEEP {
+        assert_eq!(fig5(t as u64), 3 * 2 * 3, "fig5 grid at {t} threads");
+    }
+}
+
+#[test]
 fn emitted_session_curve_pairs_async_against_threads() {
-    let report = emit_serialized(&tiny());
-    let runs = report.get("runs").and_then(Json::as_arr).unwrap();
+    let runs = tiny_report().get("runs").and_then(Json::as_arr).unwrap();
     let session_runs: Vec<&Json> = runs
         .iter()
         .filter(|r| r.get("figure").and_then(Json::as_str) == Some("kv-sessions"))
@@ -107,8 +149,10 @@ fn emitted_session_curve_pairs_async_against_threads() {
 
 #[test]
 fn emitted_optimization_entries_carry_before_and_after_numbers() {
-    let report = emit_serialized(&tiny());
-    let opts = report.get("optimizations").and_then(Json::as_arr).unwrap();
+    let opts = tiny_report()
+        .get("optimizations")
+        .and_then(Json::as_arr)
+        .unwrap();
     let names: Vec<&str> = opts
         .iter()
         .map(|o| o.get("name").and_then(Json::as_str).unwrap())

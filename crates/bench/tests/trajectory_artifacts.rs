@@ -17,8 +17,8 @@ fn repo_root() -> &'static Path {
 fn committed_artifacts_assemble_into_one_history() {
     let paths = discover(repo_root()).expect("scan workspace root");
     assert!(
-        paths.len() >= 4,
-        "expected the PR 6..9 artifacts, found {paths:?}"
+        paths.len() >= 5,
+        "expected BENCH_6..9 and BENCH_13, found {paths:?}"
     );
     let t = load(&paths).expect("all committed artifacts parse");
     assert!(
@@ -26,7 +26,7 @@ fn committed_artifacts_assemble_into_one_history() {
         "PR columns must ascend: {:?}",
         t.prs
     );
-    for pr in [6, 7, 8, 9] {
+    for pr in [6, 7, 8, 9, 13] {
         assert!(t.prs.contains(&pr), "missing PR {pr} in {:?}", t.prs);
     }
 
@@ -39,10 +39,11 @@ fn committed_artifacts_assemble_into_one_history() {
         .find(|r| {
             r.key.figure == "fig2"
                 && r.key.workload == "pbzip-compress"
+                && r.key.mix == "-"
                 && r.key.mode == "STM+CondVar"
         })
         .expect("fig2 pbzip STM+CondVar row");
-    for pr in [6, 7, 8, 9] {
+    for pr in [6, 7, 8, 9, 13] {
         let ops = fig2.ops_per_sec[col(pr)];
         assert!(
             ops.is_some_and(|v| v > 0.0),
@@ -61,6 +62,22 @@ fn committed_artifacts_assemble_into_one_history() {
     assert!(sessions.ops_per_sec[col(7)].is_none());
     assert!(sessions.ops_per_sec[col(8)].is_some());
     assert!(sessions.ops_per_sec[col(9)].is_some());
+    assert!(sessions.ops_per_sec[col(13)].is_some());
+
+    // The newest artifact sweeps the thread count, and each thread count
+    // is a row of its own.
+    let fig5_threads: Vec<u64> = t
+        .rows
+        .iter()
+        .filter(|r| {
+            r.key.figure == "fig5"
+                && r.key.workload == "list"
+                && r.key.mix == "50i/50r"
+                && r.key.policy == "SelectNoQ"
+        })
+        .map(|r| r.key.threads)
+        .collect();
+    assert_eq!(fig5_threads, [1, 2, 4, 8]);
 }
 
 #[test]
@@ -68,11 +85,25 @@ fn rendered_history_has_one_table_per_figure() {
     let paths = discover(repo_root()).unwrap();
     let t = load(&paths).unwrap();
     let text = render(&t);
-    for figure in ["fig2", "fig3", "fig5", "kv", "kv-sessions"] {
+    for figure in [
+        "fig2",
+        "fig3",
+        "fig4",
+        "fig5",
+        "kv",
+        "kv-sessions",
+        "primitives",
+        "ablate-htm-retry",
+        "ablate-quiesce",
+        "ablate-ready-flag",
+        "ablate-fallback",
+        "adapt-policy",
+        "ablate-stm-algo",
+    ] {
         assert!(
             text.contains(&format!("== {figure}")),
             "no table for {figure}"
         );
     }
-    assert!(text.contains("PR 6") && text.contains("PR 9"), "{text}");
+    assert!(text.contains("PR 6") && text.contains("PR 13"), "{text}");
 }

@@ -1,6 +1,6 @@
 //! One-shot reproduction summary: a fast pass over every headline claim of
-//! the paper, printed as a checklist. (The full parameter sweeps live in
-//! `cargo bench`; this runs in well under a minute.)
+//! the paper, printed as a checklist. (The full parameter sweeps are the
+//! figures of `tle-bench emit`; this runs in well under a minute.)
 //!
 //! Run: `cargo run --release --example paper_repro`
 
@@ -170,7 +170,7 @@ fn main() {
         );
     }
 
-    println!("\ndone — see EXPERIMENTS.md for the full tables and cargo bench for the sweeps");
+    println!("\ndone — see EXPERIMENTS.md for the full tables and `tle-bench emit` for the sweeps");
 }
 
 /// A minimal inline version of the Figure 5 trial (4 threads, 40k ops).

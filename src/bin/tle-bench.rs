@@ -1,10 +1,10 @@
 //! `tle-bench` — the machine-readable perf trajectory (`BENCH_<n>.json`).
 //!
 //! ```text
-//! cargo run --release --bin tle-bench -- emit --out BENCH_6.json
+//! cargo run --release --bin tle-bench -- emit --out BENCH_13.json
 //! cargo run --release --bin tle-bench -- emit --quick --out /tmp/new.json
-//! cargo run --release --bin tle-bench -- validate BENCH_6.json
-//! cargo run --release --bin tle-bench -- compare BENCH_6.json /tmp/new.json
+//! cargo run --release --bin tle-bench -- validate BENCH_13.json
+//! cargo run --release --bin tle-bench -- compare BENCH_13.json /tmp/new.json
 //! ```
 //!
 //! Exit codes: 0 clean, 1 regression or schema error (`--warn` downgrades

@@ -13,6 +13,7 @@
 
 use std::io::{Read, Write};
 use std::sync::Arc;
+use tle_bench::workloads::{micro_trial, Mix, TrialStats};
 use tle_repro::pbz::{PipelineConfig, StreamCompressor, StreamDecompressor};
 use tle_repro::prelude::*;
 use tle_repro::wfe::{encode_video, EncoderConfig, VideoSource};
@@ -52,10 +53,17 @@ fn opt(args: &[String], key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Parse `--key value`, or `default` when the flag is absent. A value that
+/// does not parse is a usage error: the flag is named and the process
+/// exits 2 rather than running a configuration nobody asked for.
 fn opt_parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    opt(args, key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match opt(args, key) {
+        None => default,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("tle: {key}: `{v}` is not a valid value");
+            std::process::exit(2);
+        }),
+    }
 }
 
 /// Positional (non `--`) arguments.
@@ -86,20 +94,17 @@ fn parse_mode(args: &[String]) -> AlgoMode {
     }
 }
 
-fn print_stats(sys: &TmSystem) {
-    let stm = sys.stm.stats.snapshot();
-    let htm_c = sys.htm.stats.tx.commits.get();
-    let htm_a = sys.htm.stats.tx.aborts.get();
+fn print_stats(s: &TrialStats) {
     println!(
         "tm-stats: stm commits={} aborts={} quiesces={} skipped={} | \
          htm commits={} aborts={} | serial fallbacks={}",
-        stm.commits,
-        stm.aborts,
-        stm.quiesces,
-        stm.quiesce_skipped,
-        htm_c,
-        htm_a,
-        sys.stats.serial_fallbacks.get()
+        s.stm.commits,
+        s.stm.aborts,
+        s.stm.quiesces,
+        s.stm.quiesce_skipped,
+        s.htm_commits,
+        s.htm_aborts,
+        s.serial_fallbacks
     );
 }
 
@@ -180,7 +185,7 @@ fn cmd_compress(args: &[String], decompress: bool) -> i32 {
         data.len() as f64 / secs / 1e6,
         mode.label()
     );
-    print_stats(&sys);
+    print_stats(&TrialStats::capture(&sys));
     0
 }
 
@@ -195,7 +200,7 @@ fn cmd_encode(args: &[String]) -> i32 {
         qp: opt_parse(args, "--qp", 12),
         keyframe_interval: 8,
         lookahead_depth: 4,
-        target_bits_per_frame: opt(args, "--bitrate").and_then(|v| v.parse().ok()),
+        target_bits_per_frame: opt(args, "--bitrate").map(|_| opt_parse(args, "--bitrate", 0)),
         frame_threads: opt_parse(args, "--frame-threads", 3),
         slices: opt_parse(args, "--slices", 1),
     };
@@ -230,73 +235,33 @@ fn cmd_encode(args: &[String]) -> i32 {
     if video.frames.len() > 4 {
         println!("  ... ({} more frames)", video.frames.len() - 4);
     }
-    print_stats(&sys);
+    print_stats(&TrialStats::capture(&sys));
     0
 }
 
 fn cmd_micro(args: &[String]) -> i32 {
-    use tle_repro::txset::{TxHashSet, TxListSet, TxSet, TxTreeSet};
     let kind = opt(args, "--set").unwrap_or_else(|| "hash".into());
-    let set: Arc<dyn TxSet> = match kind.as_str() {
-        "list" => Arc::new(TxListSet::new()),
-        "hash" => Arc::new(TxHashSet::new()),
-        "tree" => Arc::new(TxTreeSet::new()),
-        other => {
-            eprintln!("unknown set '{other}'");
+    if !matches!(kind.as_str(), "list" | "hash" | "tree") {
+        eprintln!("tle: --set: unknown set `{kind}` (expected list, hash or tree)");
+        return 2;
+    }
+    let policy = match opt(args, "--policy").as_deref() {
+        None | Some("stm") => QuiescePolicy::Always,
+        Some("noq") => QuiescePolicy::Never,
+        Some("selectnoq") => QuiescePolicy::Selective,
+        Some(other) => {
+            eprintln!("tle: --policy: unknown policy `{other}` (expected stm, noq or selectnoq)");
             return 2;
         }
     };
-    let policy = match opt(args, "--policy").as_deref() {
-        Some("noq") => QuiescePolicy::Never,
-        Some("selectnoq") => QuiescePolicy::Selective,
-        _ => QuiescePolicy::Always,
-    };
     let threads: usize = opt_parse(args, "--threads", 4);
     let ops: u64 = opt_parse(args, "--ops", 200_000);
-
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-    sys.stm.set_policy(policy);
-    {
-        let th = sys.register();
-        for k in (0..set.key_space()).step_by(2) {
-            set.insert(&th, k);
-        }
-    }
-    sys.reset_stats();
-    let t0 = std::time::Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let sys = Arc::clone(&sys);
-            let set = Arc::clone(&set);
-            std::thread::spawn(move || {
-                let th = sys.register();
-                let mut rng = tle_repro::base::rng::XorShift64::new(t as u64);
-                for _ in 0..ops {
-                    let k = rng.below(set.key_space());
-                    match rng.below(4) {
-                        0 => {
-                            set.insert(&th, k);
-                        }
-                        1 => {
-                            set.remove(&th, k);
-                        }
-                        _ => {
-                            set.contains(&th, k);
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let secs = t0.elapsed().as_secs_f64();
+    let (tput, stats) = micro_trial(&kind, policy, threads, Mix::HalfLookup, ops);
     println!(
         "{kind} set, {} policy, {threads} threads: {:.3} Mops/s",
         policy.label(),
-        threads as f64 * ops as f64 / secs / 1e6
+        tput / 1e6
     );
-    print_stats(&sys);
+    print_stats(&stats);
     0
 }

@@ -15,7 +15,7 @@
 //!  tle-txset  list/hash/tree set microbenchmarks (Figure 5)
 //!  tle-pbz    PBZip2-style parallel block compressor (Figure 2)
 //!  tle-wfe    x265-style wavefront encoder (Figures 3-4)
-//!  tle-bench  one bench target per paper table/figure
+//!  tle-bench  `tle-bench emit`: every paper table/figure, one document
 //! ```
 //!
 //! ## Quickstart
