@@ -47,42 +47,15 @@ impl OrecValue {
     }
 }
 
-/// Physical layout of the orec array.
-///
-/// Eight packed `AtomicU64` orecs share one 64-byte cache line, so two
-/// threads CASing *adjacent* stripes ping-pong the line even though their
-/// data is disjoint — classic false sharing, and measurable on the
-/// fig5 microbenchmarks. The padded layout gives every orec its own line
-/// at 8x the footprint (4 MiB vs 512 KiB at the default size). Padded is
-/// the default; the compact layout is kept so `tle-bench` can measure the
-/// before/after (`BENCH_<n>.json`, `optimizations.orec-padding`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrecLayout {
-    /// One orec per cache line (no false sharing between stripes).
-    #[default]
-    Padded,
-    /// Eight orecs per cache line (the pre-padding layout, for A/B runs).
-    Compact,
-}
-
-impl OrecLayout {
-    /// Stable label used by the bench JSON emitter.
-    pub fn label(self) -> &'static str {
-        match self {
-            OrecLayout::Padded => "padded",
-            OrecLayout::Compact => "compact",
-        }
-    }
-}
-
-enum Stripes {
-    Padded(Box<[Padded<AtomicU64>]>),
-    Compact(Box<[AtomicU64]>),
-}
-
 /// The global orec table.
+///
+/// Each orec sits on its own 64-byte cache line. Packed eight to a line,
+/// two threads CASing *adjacent* stripes would ping-pong the line even
+/// though their data is disjoint — false sharing that was measurable on
+/// the fig5 microbenchmarks. The padding costs 8x the footprint (4 MiB vs
+/// 512 KiB at the default size).
 pub struct OrecTable {
-    stripes: Stripes,
+    stripes: Box<[Padded<AtomicU64>]>,
     mask: usize,
 }
 
@@ -91,56 +64,24 @@ impl OrecTable {
     /// by production word-based STMs.
     pub const DEFAULT_LOG2: usize = 16;
 
-    /// Create a table with `1 << log2` orecs in the given layout.
-    pub fn with_layout(log2: usize, layout: OrecLayout) -> Self {
+    /// Create a table with `1 << log2` orecs.
+    pub fn with_log2(log2: usize) -> Self {
         let n = 1usize << log2;
-        let stripes = match layout {
-            OrecLayout::Padded => Stripes::Padded(
-                (0..n)
-                    .map(|_| Padded(AtomicU64::new(0)))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            ),
-            OrecLayout::Compact => Stripes::Compact(
-                (0..n)
-                    .map(|_| AtomicU64::new(0))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            ),
-        };
         OrecTable {
-            stripes,
+            stripes: (0..n).map(|_| Padded(AtomicU64::new(0))).collect(),
             mask: n - 1,
         }
     }
 
-    /// Create a table with `1 << log2` orecs (padded layout).
-    pub fn with_log2(log2: usize) -> Self {
-        Self::with_layout(log2, OrecLayout::default())
-    }
-
-    /// Create a table of the default size and layout.
+    /// Create a table of the default size.
     pub fn new() -> Self {
         Self::with_log2(Self::DEFAULT_LOG2)
     }
 
-    /// The physical layout of this table.
-    pub fn layout(&self) -> OrecLayout {
-        match self.stripes {
-            Stripes::Padded(_) => OrecLayout::Padded,
-            Stripes::Compact(_) => OrecLayout::Compact,
-        }
-    }
-
-    /// The atomic word backing orec `idx`. The enum branch is perfectly
-    /// predicted (one table, one layout for its whole life), so this costs
-    /// nothing measurable on the hot paths below.
+    /// The atomic word backing orec `idx`.
     #[inline]
     fn word(&self, idx: usize) -> &AtomicU64 {
-        match &self.stripes {
-            Stripes::Padded(s) => &s[idx],
-            Stripes::Compact(s) => &s[idx],
-        }
+        &self.stripes[idx]
     }
 
     /// Number of orecs in the table.
@@ -255,8 +196,7 @@ mod tests {
 
     #[test]
     fn padded_layout_puts_each_orec_on_its_own_cache_line() {
-        let t = OrecTable::with_layout(4, OrecLayout::Padded);
-        assert_eq!(t.layout(), OrecLayout::Padded);
+        let t = OrecTable::with_log2(4);
         let addrs: Vec<usize> = (0..t.len())
             .map(|i| t.word(i) as *const AtomicU64 as usize)
             .collect();
@@ -268,30 +208,6 @@ mod tests {
             );
         }
         assert_eq!(addrs[0] % crate::CACHE_LINE, 0, "first stripe unaligned");
-    }
-
-    #[test]
-    fn compact_layout_packs_orecs_densely() {
-        let t = OrecTable::with_layout(4, OrecLayout::Compact);
-        assert_eq!(t.layout(), OrecLayout::Compact);
-        let a0 = t.word(0) as *const AtomicU64 as usize;
-        let a1 = t.word(1) as *const AtomicU64 as usize;
-        assert_eq!(a1 - a0, 8, "compact stripes should be adjacent words");
-    }
-
-    #[test]
-    fn default_layout_is_padded_and_both_layouts_behave_identically() {
-        assert_eq!(OrecTable::new().layout(), OrecLayout::Padded);
-        assert_eq!(OrecLayout::default().label(), "padded");
-        for layout in [OrecLayout::Padded, OrecLayout::Compact] {
-            let t = OrecTable::with_layout(4, layout);
-            let i = t.index_of(0x2000);
-            let seen = t.load(i);
-            assert!(t.try_lock(i, seen, 3));
-            assert_eq!(t.get(i), Locked(3));
-            t.release(i, 9);
-            assert_eq!(t.get(i), Unlocked(9));
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use tle_base::stats::HIST_BUCKETS;
-use tle_base::{AbortCause, OrecLayout};
+use tle_base::AbortCause;
 use tle_core::{AlgoMode, TlePolicy, TmSystem, ALL_MODES};
 use tle_htm::HtmConfig;
 use tle_kv::{
@@ -375,7 +375,7 @@ fn ab_entry(spec: &AbSpec, baseline: Json, optimized: Json, speedup: f64) -> Jso
 }
 
 /// Run the trajectory suite and build the document: one block per paper
-/// figure, ablation and serving workload, then the optimization A/Bs.
+/// figure, ablation and serving workload, then the optimization A/B.
 /// EXPERIMENTS.md names the figure behind each of its tables.
 pub fn emit_report(cfg: &EmitConfig) -> Json {
     let mut runs = Vec::new();
@@ -976,133 +976,9 @@ fn kv(cfg: &EmitConfig, runs: &mut Vec<Json>) {
     }
 }
 
-/// The optimization A/Bs: one knob flipped per entry, both sides measured
-/// in this same process so the numbers are an honest pair.
+/// The optimization A/B: both sides measured in this same process so the
+/// numbers are an honest pair.
 fn optimizations(cfg: &EmitConfig) -> Vec<Json> {
-    let mut optimizations = Vec::new();
-    let warmed = MicroOpts::warmed(cfg.micro_ops);
-
-    // Orec-table padding vs the compact (false-sharing) layout.
-    let (compact_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        MicroOpts {
-            orec_layout: OrecLayout::Compact,
-            ..warmed
-        },
-    );
-    let (padded_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        warmed,
-    );
-    optimizations.push(ab_entry(
-        &AbSpec {
-            name: "orec-padding",
-            figure: "fig5",
-            workload: "hash",
-            mix: Mix::ReadMostly.label(),
-            policy: QuiescePolicy::Selective.label(),
-            threads: cfg.threads,
-        },
-        ab_side("orec-layout=compact", compact_t, vec![]),
-        ab_side("orec-layout=padded", padded_t, vec![]),
-        padded_t / compact_t,
-    ));
-
-    // Read-only commit fast path, measured where it bites: read-mostly mix
-    // under the drain-everything (`Always`) policy.
-    let (slow_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Always,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        MicroOpts {
-            ro_fast_path: false,
-            ..warmed
-        },
-    );
-    let (fast_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Always,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        warmed,
-    );
-    optimizations.push(ab_entry(
-        &AbSpec {
-            name: "ro-fast-path",
-            figure: "fig5",
-            workload: "hash",
-            mix: Mix::ReadMostly.label(),
-            policy: QuiescePolicy::Always.label(),
-            threads: cfg.threads,
-        },
-        ab_side("ro-fast-path=off", slow_t, vec![]),
-        ab_side("ro-fast-path=on", fast_t, vec![]),
-        fast_t / slow_t,
-    ));
-
-    // Transaction-buffer reuse across retries: throughput plus the
-    // allocation counters that prove the churn is gone.
-    let alloc_fields = |s: tle_stm::BufAllocStats| {
-        vec![
-            ("fresh_allocs".to_string(), Json::u64(s.fresh_allocs)),
-            ("reuse_hits".to_string(), Json::u64(s.reused)),
-            ("spills".to_string(), Json::u64(s.spills)),
-        ]
-    };
-    tle_stm::reset_buf_alloc_stats();
-    let (churn_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::HalfLookup,
-        cfg.micro_ops,
-        MicroOpts {
-            buf_reuse: false,
-            ..warmed
-        },
-    );
-    let churn_alloc = tle_stm::buf_alloc_stats();
-    tle_stm::reset_buf_alloc_stats();
-    let (reuse_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::HalfLookup,
-        cfg.micro_ops,
-        warmed,
-    );
-    let reuse_alloc = tle_stm::buf_alloc_stats();
-    optimizations.push(ab_entry(
-        &AbSpec {
-            name: "txbuf-reuse",
-            figure: "fig5",
-            workload: "hash",
-            mix: Mix::HalfLookup.label(),
-            policy: QuiescePolicy::Selective.label(),
-            threads: cfg.threads,
-        },
-        ab_side("buf-reuse=off", churn_t, alloc_fields(churn_alloc)),
-        ab_side("buf-reuse=on", reuse_t, alloc_fields(reuse_alloc)),
-        reuse_t / churn_t,
-    ));
-
     // Lazy lock-word subscription (PR 9): the capacity-edge scan, where the
     // eager mode's subscription read is the straw that overflows the read
     // cap. Both sides record the abort-by-cause split so the artifact
@@ -1131,7 +1007,7 @@ fn optimizations(cfg: &EmitConfig) -> Vec<Json> {
         lazy_subscription_trial(AlgoMode::AdaptiveHtm, cfg.threads, lazy_lines, lazy_ops);
     let (lazy_t, lazy_s) =
         lazy_subscription_trial(AlgoMode::AdaptiveHtmLazy, cfg.threads, lazy_lines, lazy_ops);
-    optimizations.push(ab_entry(
+    vec![ab_entry(
         &AbSpec {
             name: "lazy-subscription",
             figure: "fig2",
@@ -1143,8 +1019,7 @@ fn optimizations(cfg: &EmitConfig) -> Vec<Json> {
         ab_side("mode=adaptive-htm", eager_t, cause_fields(&eager_s)),
         ab_side("mode=adaptive-htm-lazy", lazy_t, cause_fields(&lazy_s)),
         lazy_t / eager_t,
-    ));
-    optimizations
+    )]
 }
 
 /// The document with every `"measured"` subtree removed: what must be

@@ -419,7 +419,7 @@ fn torture_async(sys: &Arc<TmSystem>, cfg: &TortureConfig, violations: &mut Vec<
 fn torture_deadline(sys: &Arc<TmSystem>, cfg: &TortureConfig, violations: &mut Vec<String>) -> u64 {
     use std::time::Duration;
     use tle_base::TCell;
-    use tle_core::{ElidableMutex, TxError, TxHints};
+    use tle_core::{ElidableMutex, TxError};
 
     fn worker(
         sys: &Arc<TmSystem>,
@@ -436,8 +436,7 @@ fn torture_deadline(sys: &Arc<TmSystem>, cfg: &TortureConfig, violations: &mut V
         let mut vs = Vec::new();
         for i in 0..ops {
             if rng.below(4) == 0 {
-                let hints = TxHints::new().with_deadline(Duration::ZERO);
-                match th.tx(lock).hints(hints).try_run(|ctx| {
+                match th.tx(lock).deadline(Duration::ZERO).try_run(|ctx| {
                     let v = ctx.read(cell)?;
                     ctx.write(cell, v + 1)?;
                     Ok(())

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 use tle_base::stats::TxStatsSnapshot;
-use tle_base::{AbortCause, OrecLayout, OrecTable, Padded, TCell};
+use tle_base::{AbortCause, OrecTable, Padded, TCell};
 use tle_core::{AdaptiveConfig, AlgoMode, ElidableMutex, ThreadHandle, TmSystem};
 use tle_htm::HtmConfig;
 use tle_pbz::{compress_parallel, decompress_parallel, PipelineConfig};
@@ -291,7 +291,7 @@ pub enum Mix {
     /// 50% lookup, 25% insert, 25% remove (right column).
     HalfLookup,
     /// 90% lookup, 5% insert, 5% remove — the read-mostly mix the
-    /// read-only commit fast path targets (`BENCH_<n>.json` A/B runs).
+    /// read-only commit fast path targets (the fig5 `90l/5i/5r` row).
     ReadMostly,
 }
 
@@ -385,18 +385,11 @@ pub fn micro_trial(
 }
 
 /// Runtime knobs for [`micro_trial_opts`] beyond the classic figure
-/// parameters. Every `BENCH_<n>.json` optimization A/B run is expressed as
-/// a pair of these with exactly one field flipped.
+/// parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MicroOpts {
     /// STM algorithm (paper default: `ml_wt`).
     pub algo: tle_stm::StmAlgo,
-    /// Orec-table layout (padded vs compact, for the false-sharing A/B).
-    pub orec_layout: OrecLayout,
-    /// Read-only commit fast path on/off.
-    pub ro_fast_path: bool,
-    /// Transaction-buffer reuse across retries on/off.
-    pub buf_reuse: bool,
     /// Per-thread warmup operations executed before the measured window;
     /// stats reset at the steady-state boundary.
     pub warmup_ops: u64,
@@ -406,9 +399,6 @@ impl Default for MicroOpts {
     fn default() -> Self {
         MicroOpts {
             algo: tle_stm::StmAlgo::MlWt,
-            orec_layout: OrecLayout::default(),
-            ro_fast_path: true,
-            buf_reuse: true,
             warmup_ops: 0,
         }
     }
@@ -440,17 +430,9 @@ pub fn micro_trial_opts(
 ) -> (f64, TrialStats) {
     // Microbenchmarks always run the STM (the paper's Figure 5 machine has
     // no HTM); the policy is the independent variable.
-    let sys = Arc::new(
-        TmSystem::builder()
-            .mode(AlgoMode::StmCondvar)
-            .orec_layout(opts.orec_layout)
-            .ro_commit_fast_path(opts.ro_fast_path)
-            .build(),
-    );
+    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
     sys.stm.set_policy(policy);
     sys.set_stm_algo(opts.algo);
-    let reuse_before = tle_stm::buf_reuse_enabled();
-    tle_stm::set_buf_reuse(opts.buf_reuse);
     let set = make_set(kind);
     {
         let th = sys.register();
@@ -490,7 +472,6 @@ pub fn micro_trial_opts(
     }
     let secs = t0.elapsed().as_secs_f64();
     let stats = TrialStats::capture(&sys);
-    tle_stm::set_buf_reuse(reuse_before);
     let total_ops = threads as f64 * ops_per_thread as f64;
     (total_ops / secs, stats)
 }
@@ -1278,7 +1259,7 @@ mod tests {
 
     /// The read-mostly mix drives the read-only commit fast path: under the
     /// `Always` drain policy, skipped drains can only come from the fast
-    /// path, and disabling it for an A/B run restores drain-everything.
+    /// path.
     #[test]
     fn read_mostly_mix_exercises_the_ro_fast_path() {
         assert_eq!(Mix::ReadMostly.label(), "90l/5i/5r");
@@ -1291,42 +1272,6 @@ mod tests {
             MicroOpts::warmed(2_000),
         );
         assert!(on.stm.quiesce_skipped > 0, "fast path never taken");
-        let (_, off) = micro_trial_opts(
-            "hash",
-            QuiescePolicy::Always,
-            2,
-            Mix::ReadMostly,
-            2_000,
-            MicroOpts {
-                ro_fast_path: false,
-                ..MicroOpts::warmed(2_000)
-            },
-        );
-        assert_eq!(
-            off.stm.quiesce_skipped, 0,
-            "disabled fast path still skipped"
-        );
-    }
-
-    /// Both orec layouts produce working trials (the A/B pair behind the
-    /// `orec-padding` optimization entry).
-    #[test]
-    fn micro_trial_runs_under_both_orec_layouts() {
-        for layout in [OrecLayout::Padded, OrecLayout::Compact] {
-            let (tput, stats) = micro_trial_opts(
-                "tree",
-                QuiescePolicy::Selective,
-                2,
-                Mix::UpdateOnly,
-                1_000,
-                MicroOpts {
-                    orec_layout: layout,
-                    ..MicroOpts::warmed(1_000)
-                },
-            );
-            assert!(tput > 0.0, "{}: no throughput", layout.label());
-            assert!(stats.stm.commits > 0, "{}: no commits", layout.label());
-        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub enum TxError {
     /// The closure requested a condition wait ([`TxCtx::wait`]): commit the
     /// transaction, block, and re-run the closure.
     Wait,
-    /// The section's retry-time budget ([`crate::TxHints::with_deadline`])
+    /// The section's retry-time budget ([`crate::TxRequest::deadline`])
     /// expired before a commit. Raised by the runner at retry-ladder
     /// decision points (never mid-attempt, and never once the section has
     /// entered serial or locked mode, whose effects cannot be undone);
@@ -97,7 +97,7 @@ pub struct TxCtx<'a> {
     pub(crate) defers: Defers,
     pub(crate) pending_wait: Option<PendingWait<'a>>,
     /// Absolute expiry of the section's retry-time budget
-    /// ([`crate::TxHints::with_deadline`]); `None` when unbounded.
+    /// ([`crate::TxRequest::deadline`]); `None` when unbounded.
     pub(crate) deadline: Option<Instant>,
     /// Set under the async terminals: waits must produce a pollable
     /// registration instead of relying on OS parking. Only the baseline
@@ -255,7 +255,7 @@ impl<'a> TxCtx<'a> {
     /// Wang's construction, no lost wakeups), blocks, and re-runs the
     /// closure. Under `StmSpin` the registration is skipped and the closure
     /// is simply re-run — polling.
-    /// When the section carries a deadline hint the effective timeout is
+    /// When the section carries a deadline the effective timeout is
     /// clamped to the remaining retry budget, whichever is sooner — a wait
     /// can never sleep past its transaction's deadline.
     pub fn wait(&mut self, cv: &'a TxCondvar, timeout: Option<Duration>) -> Result<(), TxError> {

@@ -9,7 +9,7 @@
 //! when the original program used disjoint locks.
 //!
 //! Each lock additionally carries a [`LockDomain`]: per-lock policy state
-//! (mode override, retry budgets, `TM_NoQuiesce` opt-in) plus a sliding
+//! (mode override, `TM_NoQuiesce` opt-in, admission step) plus a sliding
 //! window of per-cause outcomes. The adaptive controller
 //! ([`TmSystem`](crate::TmSystem)) holds a weak reference to the shared
 //! inner state, which is why the mutex is an `Arc` handle internally — a
@@ -160,13 +160,6 @@ impl ElidableMutex {
     /// [`TmSystem::set_lock_no_quiesce`](crate::TmSystem::set_lock_no_quiesce)).
     pub fn is_no_quiesce(&self) -> bool {
         self.domain().no_quiesce()
-    }
-
-    /// Override the retry budgets for sections under this lock (`None` =
-    /// inherit the system [`TlePolicy`](crate::TlePolicy)). Per-section
-    /// [`TxHints`](crate::TxHints) still take precedence over these.
-    pub fn set_retry_budgets(&self, htm: Option<u32>, stm: Option<u32>) {
-        self.domain().set_retry_budgets(htm, stm);
     }
 
     /// Point-in-time view of this lock's sliding outcome window.

@@ -40,7 +40,7 @@ pub use domain::{
 pub use elide::ElidableMutex;
 pub use system::{
     AlgoMode, ControllerHandle, DomainStats, InvalidAlgoMode, ParseAlgoModeError, ThreadHandle,
-    TlePolicy, TmSystem, TmSystemBuilder, TxHints, TxRequest,
+    TlePolicy, TmSystem, TmSystemBuilder, TxRequest,
 };
 
 /// Convenience result type for transactional closures.
@@ -225,13 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn retry_hints_reduce_serial_fallbacks() {
+    fn larger_htm_retry_budget_reduces_serial_fallbacks() {
         use tle_htm::HtmConfig;
         // Event-abort-heavy HTM: 2 retries serialize often, 64 rarely.
-        let run = |hints: TxHints| {
+        let run = |htm_retries: u32| {
             let sys = Arc::new(
                 TmSystem::builder()
                     .mode(AlgoMode::HtmCondvar)
+                    .policy(TlePolicy {
+                        htm_retries,
+                        ..TlePolicy::default()
+                    })
                     .htm_config(HtmConfig {
                         event_prob: 0.3,
                         ..HtmConfig::default()
@@ -239,10 +243,10 @@ mod tests {
                     .build(),
             );
             let th = sys.register();
-            let lock = ElidableMutex::new("hinted");
+            let lock = ElidableMutex::new("retries");
             let cell = TCell::new(0u64);
             for _ in 0..500 {
-                th.tx(&lock).hints(hints).run(|ctx| {
+                th.tx(&lock).run(|ctx| {
                     ctx.update(&cell, |v| v + 1)?;
                     Ok(())
                 });
@@ -250,11 +254,11 @@ mod tests {
             assert_eq!(cell.load_direct(), 500);
             sys.stats.serial_fallbacks.get()
         };
-        let default_fallbacks = run(TxHints::default());
-        let hinted_fallbacks = run(TxHints::new().with_htm_retries(64));
+        let default_fallbacks = run(TlePolicy::default().htm_retries);
+        let raised_fallbacks = run(64);
         assert!(
-            hinted_fallbacks < default_fallbacks / 2,
-            "hinting more retries should cut fallbacks: {hinted_fallbacks} vs {default_fallbacks}"
+            raised_fallbacks < default_fallbacks / 2,
+            "more retries should cut fallbacks: {raised_fallbacks} vs {default_fallbacks}"
         );
     }
 

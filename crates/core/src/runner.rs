@@ -77,7 +77,7 @@ use crate::condvar::{TxCondvar, Waiter};
 use crate::ctx::{CtxKind, Defers, PendingWait, RawWaiter, TxCtx, TxError};
 use crate::domain::AdmissionStep;
 use crate::elide::ElidableMutex;
-use crate::system::{AlgoMode, ThreadHandle, TmSystem, TxHints};
+use crate::system::{AlgoMode, ThreadHandle, TmSystem};
 use parking_lot::MutexGuard;
 use std::future::Future;
 use std::pin::Pin;
@@ -100,6 +100,9 @@ use tle_stm::{QuiesceTicket, SoftTx};
 
 /// Spins before a blocking lock-word wait starts yielding its OS thread.
 const SPIN_LIMIT: u32 = 64;
+
+/// Exponential-backoff ceiling (spins) between retries (see [`backoff`]).
+const BACKOFF_CEILING: u64 = 1 << 12;
 
 /// A commit's quiescence drain: the wait already spent (ns), plus the
 /// ticket of a drain still to run (async STM commits only).
@@ -148,7 +151,7 @@ pub(crate) trait Edge {
     /// Wait for a committed registration's signal; `false` on timeout.
     async fn park(w: &Waiter, timeout: Option<Duration>) -> bool;
     /// Randomized backoff between attempts (see [`backoff`]).
-    async fn backoff(salt: usize, attempts: u32, consec: u32, ceiling: u32);
+    async fn backoff(salt: usize, attempts: u32, consec: u32);
     /// Let the thread this section waits on run (lock-word spins, spin-mode
     /// polling); `spins` counts the rounds waited so far.
     async fn pause(spins: u32);
@@ -207,8 +210,8 @@ impl Edge for Blocking {
         w.wait(timeout)
     }
 
-    async fn backoff(salt: usize, attempts: u32, consec: u32, ceiling: u32) {
-        backoff(salt, attempts, consec, ceiling);
+    async fn backoff(salt: usize, attempts: u32, consec: u32) {
+        backoff(salt, attempts, consec);
     }
 
     async fn pause(spins: u32) {
@@ -294,10 +297,10 @@ impl Edge for Suspending {
         .await
     }
 
-    async fn backoff(salt: usize, attempts: u32, consec: u32, ceiling: u32) {
+    async fn backoff(salt: usize, attempts: u32, consec: u32) {
         // The bounded spin stays inside one poll; the yield hands the
         // worker to co-scheduled tasks, possibly the conflicting one.
-        backoff(salt, attempts, consec, ceiling);
+        backoff(salt, attempts, consec);
         exec::yield_now().await;
     }
 
@@ -411,10 +414,11 @@ enum Spec {
 /// The section's time budget and whether the caller can observe errors.
 ///
 /// `deadline` is the absolute expiry computed once at section entry from
-/// [`TxHints::with_deadline`]. `fallible` is true under the `try_*`
-/// terminals: expiry (and admission shedding) then surface as `Err`; under
-/// the infallible ones they instead force the serial path, which bounds
-/// retry time without inventing an error the caller cannot see.
+/// [`TxRequest::deadline`](crate::TxRequest::deadline). `fallible` is true
+/// under the `try_*` terminals: expiry (and admission shedding) then
+/// surface as `Err`; under the infallible ones they instead force the
+/// serial path, which bounds retry time without inventing an error the
+/// caller cannot see.
 #[derive(Clone, Copy)]
 struct Budget {
     deadline: Option<Instant>,
@@ -434,7 +438,7 @@ impl Budget {
 pub(crate) async fn run<'a, E: Edge, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
-    hints: TxHints,
+    deadline: Option<Duration>,
     mut f: F,
     fallible: bool,
 ) -> Result<R, TxError>
@@ -457,7 +461,7 @@ where
     lock.domain().enter_queue();
     let _dequeue = QueueExitOnDrop(lock);
     let budget = Budget {
-        deadline: hints.deadline.map(|d| Instant::now() + d),
+        deadline: deadline.map(|d| Instant::now() + d),
         fallible,
     };
     loop {
@@ -496,13 +500,13 @@ where
                 let spec = Spec::Stm {
                     spin: mode == AlgoMode::StmSpin,
                 };
-                run_elided::<E, _, _>(th, lock, epoch, hints, budget, f, spec).await
+                run_elided::<E, _, _>(th, lock, epoch, budget, f, spec).await
             }
             AlgoMode::HtmCondvar => {
-                run_elided::<E, _, _>(th, lock, epoch, hints, budget, f, Spec::Htm).await
+                run_elided::<E, _, _>(th, lock, epoch, budget, f, Spec::Htm).await
             }
             // The glibc family: AdaptiveHtm and the lazy variants.
-            _ => run_adaptive::<E, _, _>(th, lock, epoch, hints, budget, f, mode).await,
+            _ => run_adaptive::<E, _, _>(th, lock, epoch, budget, f, mode).await,
         };
         match outcome {
             Outcome::Done(r) => return Ok(r),
@@ -717,7 +721,6 @@ async fn run_elided<'a, E: Edge, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
     epoch: u64,
-    hints: TxHints,
     budget: Budget,
     f: &mut F,
     spec: Spec,
@@ -727,20 +730,8 @@ where
 {
     let sys = &*th.sys;
     let (retries, tx_mode, salt) = match spec {
-        Spec::Stm { .. } => (
-            hints
-                .stm_retries
-                .unwrap_or_else(|| lock.domain().stm_retries(sys.policy().stm_retries)),
-            TxMode::Stm,
-            th.stm_slot,
-        ),
-        Spec::Htm => (
-            hints
-                .htm_retries
-                .unwrap_or_else(|| lock.domain().htm_retries(sys.policy().htm_retries)),
-            TxMode::Htm,
-            th.htm_slot,
-        ),
+        Spec::Stm { .. } => (sys.policy().stm_retries, TxMode::Stm, th.stm_slot),
+        Spec::Htm => (sys.policy().htm_retries, TxMode::Htm, th.htm_slot),
     };
     let mut attempts: u32 = 0;
     loop {
@@ -808,8 +799,7 @@ where
                     note_abort(th);
                     lock.domain().window.record_abort(cause);
                     trace::emit(TraceKind::Retry, tx_mode, Some(cause), attempts as u64);
-                    let ceiling = sys.policy().backoff_ceiling;
-                    E::backoff(salt, attempts, th.consecutive_aborts(), ceiling).await;
+                    E::backoff(salt, attempts, th.consecutive_aborts()).await;
                     continue;
                 }
                 TxStep::RunnerErr(e) => return propagate_runner_error(budget, e),
@@ -971,7 +961,6 @@ async fn run_adaptive<'a, E: Edge, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
     epoch: u64,
-    hints: TxHints,
     budget: Budget,
     f: &mut F,
     mode: AlgoMode,
@@ -982,9 +971,7 @@ where
     /// glibc's skip_lock_internal_abort analogue.
     const SKIP_AFTER_FAILURE: u32 = 3;
     let sys = &*th.sys;
-    let htm_retries = hints
-        .htm_retries
-        .unwrap_or_else(|| lock.domain().htm_retries(sys.policy().htm_retries));
+    let htm_retries = sys.policy().htm_retries;
     let mut attempts: u32 = 0;
     loop {
         // This loop holds no exclusion between iterations, so a flip can
@@ -1049,7 +1036,7 @@ where
                     attempts += 1;
                     lock.domain().window.record_abort(cause);
                     trace::emit(TraceKind::Retry, TxMode::Htm, Some(cause), attempts as u64);
-                    E::backoff(th.htm_slot, attempts, 0, sys.policy().backoff_ceiling).await;
+                    E::backoff(th.htm_slot, attempts, 0).await;
                     continue;
                 }
                 AdaptiveStep::Tx(TxStep::RunnerErr(e)) => return propagate_runner_error(budget, e),
@@ -1401,7 +1388,7 @@ async fn cancel_wait<'a, E: Edge>(
                 drop(slots);
                 drop(token);
                 attempts += 1;
-                E::backoff(th.stm_slot, attempts, 0, sys.policy().backoff_ceiling).await;
+                E::backoff(th.stm_slot, attempts, 0).await;
             }
         }
     };
@@ -1595,7 +1582,7 @@ fn serial_storm_due() -> bool {
 ///   instead of re-sampling one fixed window, which both desynchronizes
 ///   repeat colliders faster and keeps a lucky short draw from snapping the
 ///   window back to zero. The exponential `bound` still caps the walk.
-fn backoff(salt: usize, attempts: u32, consec: u32, ceiling: u32) {
+fn backoff(salt: usize, attempts: u32, consec: u32) {
     use std::sync::atomic::AtomicU64;
     /// Decorrelates the initial states of threads spawned back-to-back.
     static THREAD_SEED: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
@@ -1607,9 +1594,7 @@ fn backoff(salt: usize, attempts: u32, consec: u32, ceiling: u32) {
     // Tier 0 for a clean slate, then one extra doubling per log2 of the
     // streak: 1 -> 1, 2..3 -> 2, 4..7 -> 3, >= 8 -> 4.
     let tier = (32 - consec.leading_zeros()).min(4);
-    let bound = (16u64 << attempts.saturating_add(tier).min(16))
-        .min(ceiling as u64)
-        .max(1);
+    let bound = (16u64 << attempts.saturating_add(tier).min(16)).min(BACKOFF_CEILING);
     let draw = BACKOFF_STATE.with(|cell| {
         let mut state = cell.get();
         if state == 0 {

@@ -14,7 +14,7 @@ use std::time::Duration;
 use tle_base::park;
 use tle_base::stats::{fmt_ns, LatencyHistSnapshot, TxStats, TxStatsSnapshot};
 use tle_base::trace::{self, TraceKind, TxMode};
-use tle_base::{AbortCause, Gate, OrecLayout};
+use tle_base::{AbortCause, Gate};
 use tle_htm::{HtmConfig, HtmGlobal};
 use tle_stm::{QuiescePolicy, StmGlobal};
 
@@ -204,13 +204,11 @@ pub struct TlePolicy {
     /// Hardware attempts before serializing. The paper's configuration is
     /// **2** ("fall back to a serial mode after hardware transactions fail
     /// twice") and §VII-A calls tuning this knob out as future work — see
-    /// the `ablate_htm_retry` bench.
+    /// the `ablate-htm-retry` figure of `tle-bench emit`.
     pub htm_retries: u32,
     /// Software attempts before serializing (GCC uses a similar abort-storm
     /// escape hatch).
     pub stm_retries: u32,
-    /// Exponential-backoff ceiling (spins) between software retries.
-    pub backoff_ceiling: u32,
     /// Starvation-escalation ladder: a thread whose *consecutive* aborts
     /// (accumulated across critical sections, reset by any concurrent
     /// commit) reach this bound is granted one serial-irrevocable slot —
@@ -226,69 +224,8 @@ impl Default for TlePolicy {
         TlePolicy {
             htm_retries: 2,
             stm_retries: 64,
-            backoff_ceiling: 1 << 12,
             escalation_bound: 128,
         }
-    }
-}
-
-/// Per-critical-section overrides of the global [`TlePolicy`] — the
-/// transaction-by-transaction retry tuning the paper's §VII-A asks for.
-///
-/// Build fluently from the default:
-///
-/// ```
-/// use tle_core::TxHints;
-/// let hints = TxHints::new().with_htm_retries(8).with_stm_retries(128);
-/// assert_eq!(hints.htm_retries, Some(8));
-/// assert_eq!(hints.stm_retries, Some(128));
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TxHints {
-    /// Override the hardware-retry budget for this section.
-    pub htm_retries: Option<u32>,
-    /// Override the software-retry budget for this section.
-    pub stm_retries: Option<u32>,
-    /// Retry-time budget for this section, measured from dispatch. The
-    /// runner checks it before every retry tier and serial-gate entry and
-    /// clamps condvar waits to the remainder. Under [`TxRequest::try_run`]
-    /// expiry surfaces as [`TxError::DeadlineExceeded`]; under the
-    /// infallible [`TxRequest::run`] it forces the serial path instead
-    /// (bounded retry time, no error channel needed).
-    pub deadline: Option<Duration>,
-}
-
-impl TxHints {
-    /// No overrides (same as `TxHints::default()`); starting point for the
-    /// fluent setters.
-    pub fn new() -> Self {
-        TxHints::default()
-    }
-
-    /// Override the hardware-retry budget for this section.
-    pub fn with_htm_retries(mut self, n: u32) -> Self {
-        self.htm_retries = Some(n);
-        self
-    }
-
-    /// Override the software-retry budget for this section.
-    pub fn with_stm_retries(mut self, n: u32) -> Self {
-        self.stm_retries = Some(n);
-        self
-    }
-
-    /// Give this section a retry-time budget (see
-    /// [`TxHints::deadline`]).
-    pub fn with_deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-}
-
-/// `(htm_retries, stm_retries)` shorthand for [`TxRequest::hints`].
-impl From<(u32, u32)> for TxHints {
-    fn from((htm, stm): (u32, u32)) -> Self {
-        TxHints::new().with_htm_retries(htm).with_stm_retries(stm)
     }
 }
 
@@ -303,10 +240,6 @@ pub struct TmSystemBuilder {
     htm_cfg: HtmConfig,
     adaptive: Option<AdaptiveConfig>,
     admission: Option<AdmissionConfig>,
-    orec_layout: OrecLayout,
-    /// `None` keeps the STM default (on); benches set `Some(false)` for
-    /// before/after runs.
-    ro_fast_path: Option<bool>,
 }
 
 impl TmSystemBuilder {
@@ -365,29 +298,11 @@ impl TmSystemBuilder {
         self
     }
 
-    /// Physical layout of the STM orec table (default: padded, one orec per
-    /// cache line). The compact layout exists so benches can measure the
-    /// false-sharing cost it removes.
-    pub fn orec_layout(mut self, layout: OrecLayout) -> Self {
-        self.orec_layout = layout;
-        self
-    }
-
-    /// Enable/disable the read-only STM commit fast path (default: on).
-    pub fn ro_commit_fast_path(mut self, on: bool) -> Self {
-        self.ro_fast_path = Some(on);
-        self
-    }
-
     /// Assemble the runtime.
     pub fn build(self) -> TmSystem {
         let mode = self.mode.unwrap_or(AlgoMode::HtmCondvar);
-        let stm = StmGlobal::with_layout(mode.quiesce_policy(), self.orec_layout);
-        if let Some(on) = self.ro_fast_path {
-            stm.set_ro_commit_fast_path(on);
-        }
         TmSystem {
-            stm,
+            stm: StmGlobal::new(mode.quiesce_policy()),
             htm: HtmGlobal::new(self.htm_cfg),
             gate: Gate::new(),
             stats: TxStats::new(),
@@ -941,9 +856,9 @@ impl ThreadHandle {
 
     /// Start building a critical-section request on `lock`.
     ///
-    /// This is the unified entry point: configure with
-    /// [`hints`](TxRequest::hints) / [`deadline_us`](TxRequest::deadline_us),
-    /// then finish with one terminal — [`run`](TxRequest::run) (infallible),
+    /// This is the unified entry point: optionally bound it with
+    /// [`deadline`](TxRequest::deadline), then finish with one terminal —
+    /// [`run`](TxRequest::run) (infallible),
     /// [`try_run`](TxRequest::try_run) (deadline/shed surface as `Err`), or
     /// their async twins [`run_async`](TxRequest::run_async) /
     /// [`try_run_async`](TxRequest::try_run_async).
@@ -962,13 +877,13 @@ impl ThreadHandle {
         TxRequest {
             th: self,
             lock,
-            hints: TxHints::default(),
+            deadline: None,
         }
     }
 }
 
-/// A critical-section request under construction: the lock, the policy
-/// hints, and (once a terminal is called) the body. Built by
+/// A critical-section request under construction: the lock, the optional
+/// deadline, and (once a terminal is called) the body. Built by
 /// [`ThreadHandle::tx`]; consumed by one of the four terminals.
 ///
 /// Under [`AlgoMode::Baseline`] the terminals acquire the real mutex; under
@@ -989,53 +904,36 @@ impl ThreadHandle {
 pub struct TxRequest<'a> {
     pub(crate) th: &'a ThreadHandle,
     pub(crate) lock: &'a ElidableMutex,
-    pub(crate) hints: TxHints,
+    pub(crate) deadline: Option<Duration>,
 }
 
 impl<'a> TxRequest<'a> {
-    /// Attach per-section policy hints (anything [`Into<TxHints>`], e.g. a
-    /// `TxHints` value or an `(htm_retries, stm_retries)` pair).
-    ///
-    /// This implements the tuning interface the paper calls for in §VII-A
-    /// ("it would be beneficial for programmers to be able to suggest retry
-    /// policies on a transaction-by-transaction basis: for queues that are
-    /// expected to be un-contended, more retries before serialization might
-    /// be appropriate") — a capability the C++ TMTS does not offer.
-    #[inline]
-    pub fn hints(mut self, hints: impl Into<TxHints>) -> Self {
-        let h: TxHints = hints.into();
-        // Merge instead of replace so `.deadline_us(..).hints(..)` and the
-        // reverse order agree: explicit fields win, unset fields keep what
-        // the request already had.
-        self.hints = TxHints {
-            htm_retries: h.htm_retries.or(self.hints.htm_retries),
-            stm_retries: h.stm_retries.or(self.hints.stm_retries),
-            deadline: h.deadline.or(self.hints.deadline),
-        };
-        self
-    }
-
-    /// Give the section a time budget of `us` microseconds (shorthand for
-    /// `hints(TxHints::new().with_deadline(..))`). Under [`run`] an expired
-    /// budget forces the serial path; under [`try_run`] it surfaces as
-    /// [`TxError::DeadlineExceeded`]. The budget also clamps transactional
-    /// condvar waits.
+    /// Give the section a retry-time budget, measured from dispatch. The
+    /// runner checks it before every retry tier and serial-gate entry and
+    /// clamps condvar waits (and async quiescence drains) to the remainder.
+    /// Under [`run`] an expired budget forces the serial path (bounded
+    /// retry time, no error channel needed); under [`try_run`] it surfaces
+    /// as [`TxError::DeadlineExceeded`].
     ///
     /// ```
     /// # use std::sync::Arc;
+    /// # use std::time::Duration;
     /// use tle_core::{AlgoMode, ElidableMutex, TmSystem};
     /// let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
     /// let th = sys.register();
     /// let lock = ElidableMutex::new("doc");
-    /// let r = th.tx(&lock).deadline_us(5_000).try_run(|_ctx| Ok(42));
+    /// let r = th
+    ///     .tx(&lock)
+    ///     .deadline(Duration::from_millis(5))
+    ///     .try_run(|_ctx| Ok(42));
     /// assert_eq!(r.unwrap(), 42);
     /// ```
     ///
     /// [`run`]: TxRequest::run
     /// [`try_run`]: TxRequest::try_run
     #[inline]
-    pub fn deadline_us(mut self, us: u64) -> Self {
-        self.hints.deadline = Some(Duration::from_micros(us));
+    pub fn deadline(mut self, budget: Duration) -> Self {
+        self.deadline = Some(budget);
         self
     }
 
@@ -1045,7 +943,11 @@ impl<'a> TxRequest<'a> {
     #[inline]
     pub fn run<R>(self, body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>) -> R {
         match park::block_on(runner::run::<Blocking, _, _>(
-            self.th, self.lock, self.hints, body, false,
+            self.th,
+            self.lock,
+            self.deadline,
+            body,
+            false,
         )) {
             Ok(r) => r,
             // Infallible terminal: deadline expiry serializes instead of
@@ -1055,7 +957,7 @@ impl<'a> TxRequest<'a> {
     }
 
     /// Run the section, fallibly: deadline expiry
-    /// ([`TxHints::with_deadline`]) surfaces as
+    /// ([`TxRequest::deadline`]) surfaces as
     /// [`TxError::DeadlineExceeded`] and an admission-controller shed as
     /// [`TxError::Overloaded`], instead of forcing the serial path. The
     /// body's own `Err` returns (other than [`TxError::Abort`] /
@@ -1072,7 +974,11 @@ impl<'a> TxRequest<'a> {
         body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
     ) -> Result<R, TxError> {
         park::block_on(runner::run::<Blocking, _, _>(
-            self.th, self.lock, self.hints, body, true,
+            self.th,
+            self.lock,
+            self.deadline,
+            body,
+            true,
         ))
     }
 
@@ -1082,22 +988,23 @@ impl<'a> TxRequest<'a> {
     /// the task instead of parking the OS thread, so thousands of logical
     /// sessions can share a few executor workers.
     pub async fn run_async<R>(self, body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>) -> R {
-        match runner::run::<Suspending, _, _>(self.th, self.lock, self.hints, body, false).await {
+        match runner::run::<Suspending, _, _>(self.th, self.lock, self.deadline, body, false).await
+        {
             Ok(r) => r,
             Err(e) => unreachable!("infallible run_async produced {e:?}"),
         }
     }
 
     /// Async twin of [`try_run`](TxRequest::try_run): deadline expiry and
-    /// admission sheds surface as `Err`. [`deadline_us`] composes — the
+    /// admission sheds surface as `Err`. [`deadline`] composes — the
     /// budget clamps async condvar waits and quiescence drains too.
     ///
-    /// [`deadline_us`]: TxRequest::deadline_us
+    /// [`deadline`]: TxRequest::deadline
     pub async fn try_run_async<R>(
         self,
         body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
     ) -> Result<R, TxError> {
-        runner::run::<Suspending, _, _>(self.th, self.lock, self.hints, body, true).await
+        runner::run::<Suspending, _, _>(self.th, self.lock, self.deadline, body, true).await
     }
 }
 
@@ -1253,15 +1160,6 @@ mod tests {
         assert_eq!(sys.adaptive_config().unwrap().min_dwell_steps, 4);
         let off = TmSystem::builder().adaptive(true).adaptive(false).build();
         assert!(!off.adaptive_enabled());
-    }
-
-    #[test]
-    fn tx_hints_fluent_and_tuple() {
-        let h = TxHints::new().with_htm_retries(3).with_stm_retries(9);
-        assert_eq!(h.htm_retries, Some(3));
-        assert_eq!(h.stm_retries, Some(9));
-        let t: TxHints = (4u32, 8u32).into();
-        assert_eq!(t, TxHints::new().with_htm_retries(4).with_stm_retries(8));
     }
 
     #[test]

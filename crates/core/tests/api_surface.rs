@@ -4,7 +4,7 @@
 //! clamped.
 
 use std::sync::Arc;
-use tle_core::{AlgoMode, ElidableMutex, InvalidAlgoMode, TmSystem, TxHints, ALL_MODES};
+use tle_core::{AlgoMode, ElidableMutex, InvalidAlgoMode, TmSystem, ALL_MODES};
 
 /// `TmSystem::new(mode)` and the bare builder agree on every observable
 /// configuration default.
@@ -46,67 +46,6 @@ fn legacy_and_builder_systems_run_identically() {
         )),
         100
     );
-}
-
-/// The fluent hint type can set both budgets at once; the tuple shorthand
-/// converts.
-#[test]
-fn tx_hints_fluent_and_conversions() {
-    let both = TxHints::new().with_htm_retries(3).with_stm_retries(9);
-    assert_eq!(both.htm_retries, Some(3));
-    assert_eq!(both.stm_retries, Some(9));
-
-    let from_tuple: TxHints = (3u32, 9u32).into();
-    assert_eq!(from_tuple, both);
-
-    assert_eq!(TxHints::new(), TxHints::default());
-    assert_eq!(TxHints::default().htm_retries, None);
-
-    // `hints` accepts anything Into<TxHints>.
-    let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
-    let th = sys.register();
-    let lock = ElidableMutex::new("into-hints");
-    let got = th.tx(&lock).hints((2u32, 2u32)).run(|_ctx| Ok(42u64));
-    assert_eq!(got, 42);
-}
-
-/// `deadline_us` is sugar for a deadline hint, and the request's `hints()`
-/// merge keeps explicitly-set fields regardless of call order.
-#[test]
-fn tx_request_deadline_and_hint_merge_compose() {
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-    let th = sys.register();
-    let lock = ElidableMutex::new("merge");
-
-    // deadline_us(..) then hints(..) without a deadline: budget survives.
-    let r = th
-        .tx(&lock)
-        .deadline_us(60_000_000)
-        .hints(TxHints::new().with_stm_retries(5))
-        .try_run(|_ctx| Ok(1u64));
-    assert_eq!(r.unwrap(), 1);
-
-    // hints(..) then deadline_us(..): same result.
-    let r = th
-        .tx(&lock)
-        .hints(TxHints::new().with_stm_retries(5))
-        .deadline_us(60_000_000)
-        .try_run(|_ctx| Ok(1u64));
-    assert_eq!(r.unwrap(), 1);
-
-    // A hint-carried deadline wins over an earlier deadline_us: explicit
-    // fields in the later hints() call take precedence.
-    let early = std::time::Instant::now();
-    let r = th
-        .tx(&lock)
-        .deadline_us(60_000_000)
-        .hints(TxHints::new().with_deadline(std::time::Duration::ZERO))
-        .try_run(|_ctx| Ok(1u64));
-    assert!(
-        matches!(r, Err(tle_core::TxError::DeadlineExceeded)),
-        "zero deadline must shadow the earlier budget, got {r:?}"
-    );
-    assert!(early.elapsed() < std::time::Duration::from_secs(30));
 }
 
 /// `TryFrom<u8>` round-trips every real discriminant and errors (instead

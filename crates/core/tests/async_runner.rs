@@ -335,7 +335,7 @@ fn async_deadline_surfaces_error_via_try_run() {
         let th = Arc::clone(&th);
         let lock = Arc::clone(&lock);
         exec.block_on(async move {
-            let req = th.tx(&lock).deadline_us(1);
+            let req = th.tx(&lock).deadline(std::time::Duration::from_micros(1));
             // Let the 1µs budget lapse before dispatch.
             std::thread::sleep(std::time::Duration::from_millis(1));
             req.try_run_async(|_ctx| Ok(())).await
@@ -363,7 +363,7 @@ fn async_deadline_clamps_unbounded_wait() {
         let never = Arc::clone(&never);
         exec.block_on(async move {
             th.tx(&lock)
-                .deadline_us(20_000)
+                .deadline(std::time::Duration::from_millis(20))
                 .try_run_async(|ctx| {
                     if !ctx.read(&*never)? {
                         return ctx.wait(&cv, None);

@@ -1,7 +1,7 @@
 //! Deadline- and admission-path tests (the degradation plane's error
 //! surface).
 //!
-//! A section's retry-time budget ([`TxHints::with_deadline`]) is checked at
+//! A section's retry-time budget ([`TxRequest::deadline`]) is checked at
 //! dispatch and before every retry tier, never mid-attempt — so an expired
 //! budget must surface as `Err(DeadlineExceeded)` from `try_run`
 //! with *no effects*, while the infallible API (which has no error channel)
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use tle_base::trace::TraceKind;
 use tle_base::TCell;
 use tle_core::{
-    AdmissionConfig, AdmissionStep, AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxError, TxHints,
+    AdmissionConfig, AdmissionStep, AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxError,
 };
 
 /// A closure that manufactures a runner-level error under an infallible
@@ -59,14 +59,11 @@ fn zero_budget_refused(mode: AlgoMode) {
     let cell = TCell::new(0u64);
     let th = sys.register();
 
-    let res = th
-        .tx(&lock)
-        .hints(TxHints::new().with_deadline(Duration::ZERO))
-        .try_run(|ctx| {
-            let v = ctx.read(&cell)?;
-            ctx.write(&cell, v + 1)?;
-            Ok(())
-        });
+    let res = th.tx(&lock).deadline(Duration::ZERO).try_run(|ctx| {
+        let v = ctx.read(&cell)?;
+        ctx.write(&cell, v + 1)?;
+        Ok(())
+    });
     assert!(
         matches!(res, Err(TxError::DeadlineExceeded)),
         "{mode:?}: zero budget produced {res:?}"
@@ -80,13 +77,11 @@ fn zero_budget_refused(mode: AlgoMode) {
 
     // The infallible API cannot surface the error; an expired budget must
     // instead bound retries by forcing the serial path — and still commit.
-    th.tx(&lock)
-        .hints(TxHints::new().with_deadline(Duration::ZERO))
-        .run(|ctx| {
-            let v = ctx.read(&cell)?;
-            ctx.write(&cell, v + 1)?;
-            Ok(())
-        });
+    th.tx(&lock).deadline(Duration::ZERO).run(|ctx| {
+        let v = ctx.read(&cell)?;
+        ctx.write(&cell, v + 1)?;
+        Ok(())
+    });
     assert_eq!(cell.load_direct(), 1, "{mode:?}: infallible section lost");
     // The refusal count must not have moved: serialization is not expiry.
     assert_eq!(sys.stats.snapshot().deadline_exceeded, 1);
@@ -115,16 +110,13 @@ fn untimed_wait_clamped_to_deadline(mode: AlgoMode) {
 
     let budget = Duration::from_millis(20);
     let t0 = Instant::now();
-    let res = th
-        .tx(&lock)
-        .hints(TxHints::new().with_deadline(budget))
-        .try_run(|ctx| {
-            if ctx.read(&never)? {
-                Ok(())
-            } else {
-                ctx.wait(&cv, None).map(|_| ())
-            }
-        });
+    let res = th.tx(&lock).deadline(budget).try_run(|ctx| {
+        if ctx.read(&never)? {
+            Ok(())
+        } else {
+            ctx.wait(&cv, None).map(|_| ())
+        }
+    });
     let elapsed = t0.elapsed();
     assert!(
         matches!(res, Err(TxError::DeadlineExceeded)),
@@ -180,15 +172,13 @@ fn signal_races_deadline(mode: AlgoMode) {
                 // Staggered budgets line up differently with the signal
                 // cadence on each run, widening race coverage.
                 let budget = Duration::from_micros(500 + 300 * i as u64);
-                th.tx(&lock)
-                    .hints(TxHints::new().with_deadline(budget))
-                    .try_run(|ctx| {
-                        if ctx.read(&*flag)? {
-                            Ok(())
-                        } else {
-                            ctx.wait(&cv, None).map(|_| ())
-                        }
-                    })
+                th.tx(&lock).deadline(budget).try_run(|ctx| {
+                    if ctx.read(&*flag)? {
+                        Ok(())
+                    } else {
+                        ctx.wait(&cv, None).map(|_| ())
+                    }
+                })
             })
         })
         .collect();

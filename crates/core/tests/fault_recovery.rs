@@ -6,9 +6,10 @@
 //! the `GUARD` mutex (integration tests in one binary run concurrently).
 
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 use tle_base::fault::{self, FaultPlan, FaultRule, Hazard};
 use tle_base::TCell;
-use tle_core::{AlgoMode, ElidableMutex, TlePolicy, TmSystem, TxError, TxHints};
+use tle_core::{AlgoMode, ElidableMutex, TlePolicy, TmSystem, TxError};
 
 fn guard() -> MutexGuard<'static, ()> {
     static M: Mutex<()> = Mutex::new(());
@@ -155,26 +156,25 @@ fn serial_gate_reopens_after_panic() {
         let lock = Arc::clone(&lock);
         std::thread::spawn(move || {
             let th = sys.register();
-            // A zero retry budget goes straight to the serial gate; the
-            // panic then unwinds while the gate token is live.
-            th.tx(&lock).hints(TxHints::new().with_stm_retries(0)).run(
-                |_ctx| -> Result<(), TxError> {
+            // An infallible section with a spent deadline goes straight to
+            // the serial gate; the panic then unwinds while the gate token
+            // is live.
+            th.tx(&lock)
+                .deadline(Duration::ZERO)
+                .run(|_ctx| -> Result<(), TxError> {
                     panic!("injected panic in serial-irrevocable mode");
-                },
-            );
+                });
         })
     };
     assert!(panicker.join().is_err());
     // If the token leaked the gate bit, both of these would deadlock.
     let cell = TCell::new(0u64);
     let th = sys.register();
-    th.tx(&lock)
-        .hints(TxHints::new().with_stm_retries(0))
-        .run(|ctx| {
-            let v = ctx.read(&cell)?;
-            ctx.write(&cell, v + 1)?;
-            Ok(())
-        });
+    th.tx(&lock).deadline(Duration::ZERO).run(|ctx| {
+        let v = ctx.read(&cell)?;
+        ctx.write(&cell, v + 1)?;
+        Ok(())
+    });
     th.tx(&lock).run(|ctx| {
         let v = ctx.read(&cell)?;
         ctx.write(&cell, v + 1)?;
@@ -213,7 +213,7 @@ fn condvar_hooks_absorb_signal_delay_and_spurious_wakes() {
             });
         })
     };
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    std::thread::sleep(Duration::from_millis(20));
     let th = sys.register();
     th.tx(&lock).run(|ctx| {
         ctx.write(&*ready, true)?;

@@ -9,14 +9,14 @@
 //! shard locks are *erased* (§IV-A), so a serial fallback provoked by one
 //! overloaded shard drains and blocks every other shard too. A hot-key
 //! storm therefore degrades the whole service, not just the hot shard —
-//! exactly the scenario the deadline budget ([`TxHints::with_deadline`])
+//! exactly the scenario the deadline budget ([`TxRequest::deadline`])
 //! and the admission ladder ([`TmSystemBuilder::admission`]) exist to
 //! contain. The driver measures both configurations: requests that fail
 //! fast with [`TxError::DeadlineExceeded`] / [`TxError::Overloaded`] versus
 //! requests that retry and serialize until they succeed.
 //!
 //! [`TmSystemBuilder::admission`]: tle_core::TmSystemBuilder::admission
-//! [`TxHints::with_deadline`]: tle_core::TxHints::with_deadline
+//! [`TxRequest::deadline`]: tle_core::TxRequest::deadline
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,9 +25,7 @@ use tle_base::exec::{self, Exec};
 use tle_base::rng::XorShift64;
 use tle_base::stats::{LatencyHist, LatencyHistSnapshot};
 use tle_base::TCell;
-use tle_core::{
-    AdmissionConfig, AlgoMode, ElidableMutex, ThreadHandle, TmSystem, TxCtx, TxError, TxHints,
-};
+use tle_core::{AdmissionConfig, AlgoMode, ElidableMutex, ThreadHandle, TmSystem, TxCtx, TxError};
 
 /// Chain-end sentinel in the node pool.
 const NIL: u32 = u32::MAX;
@@ -229,12 +227,12 @@ impl ShardedKv {
     pub fn try_get(
         &self,
         th: &ThreadHandle,
-        hints: TxHints,
+        deadline: Duration,
         key: u64,
     ) -> Result<Option<u64>, TxError> {
         let (shard, k) = self.split(key);
         th.tx(&shard.lock)
-            .hints(hints)
+            .deadline(deadline)
             .try_run(|ctx| shard.get(ctx, k))
     }
 
@@ -242,13 +240,13 @@ impl ShardedKv {
     pub fn try_put(
         &self,
         th: &ThreadHandle,
-        hints: TxHints,
+        deadline: Duration,
         key: u64,
         val: u64,
     ) -> Result<Option<u64>, TxError> {
         let (shard, k) = self.split(key);
         th.tx(&shard.lock)
-            .hints(hints)
+            .deadline(deadline)
             .try_run(|ctx| shard.put(ctx, k, val))
     }
 
@@ -272,12 +270,12 @@ impl ShardedKv {
     pub async fn try_get_async(
         &self,
         th: &ThreadHandle,
-        hints: TxHints,
+        deadline: Duration,
         key: u64,
     ) -> Result<Option<u64>, TxError> {
         let (shard, k) = self.split(key);
         th.tx(&shard.lock)
-            .hints(hints)
+            .deadline(deadline)
             .try_run_async(|ctx| shard.get(ctx, k))
             .await
     }
@@ -286,13 +284,13 @@ impl ShardedKv {
     pub async fn try_put_async(
         &self,
         th: &ThreadHandle,
-        hints: TxHints,
+        deadline: Duration,
         key: u64,
         val: u64,
     ) -> Result<Option<u64>, TxError> {
         let (shard, k) = self.split(key);
         th.tx(&shard.lock)
-            .hints(hints)
+            .deadline(deadline)
             .try_run_async(|ctx| shard.put(ctx, k, val))
             .await
     }
@@ -582,7 +580,7 @@ pub fn run_driver_on(sys: &Arc<TmSystem>, cfg: &KvConfig) -> KvReport {
 fn worker(shared: &DriverShared, cfg: &KvConfig, tid: usize, t0: Instant) {
     let th = shared.sys.register();
     let mut rng = XorShift64::new(cfg.seed ^ (tid as u64).wrapping_mul(0x9E37_79B9));
-    let hints = cfg.deadline.map(|d| TxHints::new().with_deadline(d));
+    let deadline = cfg.deadline;
     let storm_range = cfg.storm.map(|s| {
         let lo = (s.start_frac * cfg.requests as f64) as u64;
         let hi = (s.end_frac * cfg.requests as f64) as u64;
@@ -613,13 +611,13 @@ fn worker(shared: &DriverShared, cfg: &KvConfig, tid: usize, t0: Instant) {
         let outcome = if storm_req {
             let s = storm_range.as_ref().expect("storm_req implies range").2;
             let base = rng.below(s.hot_keys.max(1));
-            storm_write(shared, &th, hints, s, base, i)
+            storm_write(shared, &th, deadline, s, base, i)
         } else {
             let key = shared.zipf.sample(&mut rng);
             if rng.below(100) < cfg.write_pct as u64 {
-                plain_put(shared, &th, hints, key, i)
+                plain_put(shared, &th, deadline, key, i)
             } else {
-                plain_get(shared, &th, hints, key)
+                plain_get(shared, &th, deadline, key)
             }
         };
 
@@ -643,11 +641,11 @@ fn worker(shared: &DriverShared, cfg: &KvConfig, tid: usize, t0: Instant) {
 fn plain_get(
     shared: &DriverShared,
     th: &ThreadHandle,
-    hints: Option<TxHints>,
+    deadline: Option<Duration>,
     key: u64,
 ) -> Result<(), TxError> {
-    match hints {
-        Some(h) => shared.store.try_get(th, h, key).map(|_| ()),
+    match deadline {
+        Some(d) => shared.store.try_get(th, d, key).map(|_| ()),
         None => {
             shared.store.get(th, key);
             Ok(())
@@ -658,12 +656,12 @@ fn plain_get(
 fn plain_put(
     shared: &DriverShared,
     th: &ThreadHandle,
-    hints: Option<TxHints>,
+    deadline: Option<Duration>,
     key: u64,
     val: u64,
 ) -> Result<(), TxError> {
-    match hints {
-        Some(h) => shared.store.try_put(th, h, key, val).map(|_| ()),
+    match deadline {
+        Some(d) => shared.store.try_put(th, d, key, val).map(|_| ()),
         None => {
             shared.store.put(th, key, val);
             Ok(())
@@ -677,7 +675,7 @@ fn plain_put(
 fn storm_write(
     shared: &DriverShared,
     th: &ThreadHandle,
-    hints: Option<TxHints>,
+    deadline: Option<Duration>,
     s: StormConfig,
     base: u64,
     val: u64,
@@ -692,8 +690,8 @@ fn storm_write(
         }
         Ok(())
     };
-    match hints {
-        Some(h) => th.tx(shard.lock()).hints(h).try_run(body),
+    match deadline {
+        Some(d) => th.tx(shard.lock()).deadline(d).try_run(body),
         None => {
             th.tx(shard.lock()).run(body);
             Ok(())
@@ -790,20 +788,19 @@ fn session_triage(shared: &DriverShared, issued: Instant, outcome: Result<(), Tx
 
 async fn session_async(shared: &DriverShared, th: &ThreadHandle, cfg: &SessionConfig, sid: u64) {
     let mut rng = session_rng(cfg, sid);
-    let hints = cfg.base.deadline.map(|d| TxHints::new().with_deadline(d));
     for _ in 0..cfg.requests_per_session {
         if cfg.think_ns > 0 {
             exec::sleep(Duration::from_nanos(cfg.think_ns)).await;
         }
         let req = SessionReq::draw(shared, cfg, &mut rng);
         let issued = Instant::now();
-        let outcome = match (hints, req.write) {
-            (Some(h), true) => shared
+        let outcome = match (cfg.base.deadline, req.write) {
+            (Some(d), true) => shared
                 .store
-                .try_put_async(th, h, req.key, sid)
+                .try_put_async(th, d, req.key, sid)
                 .await
                 .map(|_| ()),
-            (Some(h), false) => shared.store.try_get_async(th, h, req.key).await.map(|_| ()),
+            (Some(d), false) => shared.store.try_get_async(th, d, req.key).await.map(|_| ()),
             (None, true) => {
                 shared.store.put_async(th, req.key, sid).await;
                 Ok(())
@@ -824,7 +821,6 @@ fn session_thread(
     sid: u64,
 ) {
     let mut rng = session_rng(cfg, sid);
-    let hints = cfg.base.deadline.map(|d| TxHints::new().with_deadline(d));
     for _ in 0..cfg.requests_per_session {
         if cfg.think_ns > 0 {
             std::thread::sleep(Duration::from_nanos(cfg.think_ns));
@@ -841,9 +837,9 @@ fn session_thread(
             }
             std::thread::yield_now();
         };
-        let outcome = match (hints, req.write) {
-            (Some(h), true) => shared.store.try_put(&th, h, req.key, sid).map(|_| ()),
-            (Some(h), false) => shared.store.try_get(&th, h, req.key).map(|_| ()),
+        let outcome = match (cfg.base.deadline, req.write) {
+            (Some(d), true) => shared.store.try_put(&th, d, req.key, sid).map(|_| ()),
+            (Some(d), false) => shared.store.try_get(&th, d, req.key).map(|_| ()),
             (None, true) => {
                 shared.store.put(&th, req.key, sid);
                 Ok(())

@@ -1,13 +1,13 @@
 //! Locating atomic blocks: every `.critical(...)` / `.critical_with(...)`
 //! call site — and every `tx(..)` request-builder terminal
-//! (`.tx(..).run(|ctx| ..)`, `.tx(..).hints(..).try_run_async(|ctx| ..)`)
+//! (`.tx(..).run(|ctx| ..)`, `.tx(..).deadline(..).try_run_async(|ctx| ..)`)
 //! — with its closure body flattened for rule scanning.
 //!
 //! Call sites are recognized by shape — a `.` followed by one of the
 //! critical-section method names followed by a parenthesized argument
 //! group. Definitions (`pub fn critical<'a, R>(...)`) never match because
 //! they are not preceded by `.`. Builder terminals only count when the
-//! method chain walks back through `hints`/`deadline_us` links to a
+//! method chain walks back through `deadline` links to a
 //! `.tx(..)` origin, so an unrelated `.run(..)` (criterion, builders)
 //! never matches. The search descends into *every* group, so call sites
 //! inside `macro_rules!` bodies, nested modules, closures and test
@@ -26,7 +26,7 @@ pub const TX_TERMINALS: [&str; 4] = ["run", "try_run", "run_async", "try_run_asy
 
 /// Non-terminal links of the request-builder chain (`tx(..)` itself is the
 /// origin).
-const TX_CHAIN: [&str; 2] = ["hints", "deadline_us"];
+const TX_CHAIN: [&str; 1] = ["deadline"];
 
 /// A flattened token inside a closure body. Group boundaries are kept as
 /// `Open`/`Close` entries so rules can reason about argument lists.
@@ -113,8 +113,8 @@ fn walk(kids: &[Tree], out: &mut Vec<Site>) {
 
 /// Does the method chain ending in the group at `idx` originate in a
 /// `.tx(..)` call? Walks back through `[.., '.', name, (args)]` links:
-/// `th.tx(&l).hints(h).run(..)` → `run`'s group at `idx`, preceding link
-/// group at `idx - 3` named `hints`, preceding link named `tx` — matched,
+/// `th.tx(&l).deadline(d).run(..)` → `run`'s group at `idx`, preceding link
+/// group at `idx - 3` named `deadline`, preceding link named `tx` — matched,
 /// returning the `tx` argument group (which names the lock).
 fn tx_origin(kids: &[Tree], idx: usize) -> Option<&Group> {
     let mut group = idx.checked_sub(3);
@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn builder_chain_links_are_followed() {
         let s = sites(
-            "th.tx(&lock).hints((2, 8)).deadline_us(50).try_run_async(move |tx| { \
+            "th.tx(&lock).deadline(Duration::from_micros(50)).try_run_async(move |tx| { \
              tx.write(&c, 1) });",
         );
         assert_eq!(s.len(), 1);
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn unrelated_run_calls_are_not_sites() {
         let s = sites(
-            "group.run(|b| b.iter(|| 1)); builder.hints(h).run(f); c.bench(\"x\", |b| b.run());",
+            "group.run(|b| b.iter(|| 1)); builder.deadline(d).run(f); c.bench(\"x\", |b| b.run());",
         );
         assert!(s.is_empty(), "{s:?}");
     }
@@ -324,7 +324,7 @@ mod tests {
         let s = sites("th.critical(&self.shard[i], |ctx| { Ok(()) });");
         let idents: Vec<_> = s[0].lock.iter().filter_map(|f| f.ident()).collect();
         assert_eq!(idents, vec!["self", "shard", "i"]);
-        let s = sites("th.tx(&queue_lock).hints(h).run(|ctx| { Ok(()) });");
+        let s = sites("th.tx(&queue_lock).deadline(d).run(|ctx| { Ok(()) });");
         let idents: Vec<_> = s[0].lock.iter().filter_map(|f| f.ident()).collect();
         assert_eq!(idents, vec!["queue_lock"]);
     }

@@ -28,7 +28,7 @@ async fn async_work_between_sections(th: &ThreadHandle, lock: &ElidableMutex, c:
     let v = th.tx(lock).run_async(|ctx| ctx.read(c)).await;
     let enriched = fetch_remote(v).await;
     th.tx(lock)
-        .deadline_us(5_000)
+        .deadline(Duration::from_millis(5))
         .try_run_async(|ctx| ctx.write(c, enriched))
         .await;
 }

@@ -36,15 +36,15 @@ mod tx;
 pub use norec::NorecTx;
 pub use quiesce::{drain, drain_watched, QuiescePolicy, QuiesceTicket, Watchdog};
 pub use sets::{
-    buf_alloc_stats, buf_reuse_enabled, drain_buf_pool, reset_buf_alloc_stats, set_buf_reuse,
-    BufAllocStats, SmallSet, INLINE_READS, INLINE_WRITES,
+    buf_alloc_stats, drain_buf_pool, reset_buf_alloc_stats, BufAllocStats, SmallSet, INLINE_READS,
+    INLINE_WRITES,
 };
 pub use soft::{SoftTx, StmAlgo};
 pub use tx::{CommitInfo, StmTx};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use tle_base::stats::TxStats;
-use tle_base::{Clock, OrecLayout, OrecTable, SlotRegistry};
+use tle_base::{Clock, OrecTable, SlotRegistry};
 
 /// Shared state of one STM instance: clock, orec table, quiescence epochs.
 ///
@@ -68,9 +68,6 @@ pub struct StmGlobal {
     policy: AtomicU8,
     algo: AtomicU8,
     audit_noquiesce: std::sync::atomic::AtomicBool,
-    /// Whether read-only `ml_wt` commits may return before the quiescence
-    /// machinery (on by default; see [`StmGlobal::set_ro_commit_fast_path`]).
-    ro_fast: AtomicBool,
     /// Quiescence-watchdog deadline (ns); a drain waiting longer trips the
     /// watchdog (report + counter, see [`Watchdog`]).
     quiesce_deadline_ns: AtomicU64,
@@ -83,19 +80,11 @@ pub struct StmGlobal {
 pub const DEFAULT_QUIESCE_DEADLINE_NS: u64 = 1_000_000_000;
 
 impl StmGlobal {
-    /// A fresh STM domain with the given quiescence policy (default orec
-    /// layout).
+    /// A fresh STM domain with the given quiescence policy.
     pub fn new(policy: QuiescePolicy) -> Self {
-        Self::with_layout(policy, OrecLayout::default())
-    }
-
-    /// A fresh STM domain with an explicit orec-table layout (the compact
-    /// layout exists for false-sharing A/B measurements; see
-    /// [`OrecLayout`]).
-    pub fn with_layout(policy: QuiescePolicy, layout: OrecLayout) -> Self {
         StmGlobal {
             clock: Clock::new(),
-            orecs: OrecTable::with_layout(OrecTable::DEFAULT_LOG2, layout),
+            orecs: OrecTable::new(),
             slots: SlotRegistry::new(),
             stats: TxStats::new(),
             noquiesce_overlaps: tle_base::stats::Counter::new(),
@@ -103,26 +92,8 @@ impl StmGlobal {
             policy: AtomicU8::new(policy as u8),
             algo: AtomicU8::new(StmAlgo::MlWt as u8),
             audit_noquiesce: std::sync::atomic::AtomicBool::new(false),
-            ro_fast: AtomicBool::new(true),
             quiesce_deadline_ns: AtomicU64::new(DEFAULT_QUIESCE_DEADLINE_NS),
         }
-    }
-
-    /// Whether the read-only commit fast path is enabled.
-    ///
-    /// Ordering audit: `Relaxed` is sufficient — the flag only chooses
-    /// between two correct commit paths (the fast path is sound under every
-    /// policy, see the commit-site comment in `tx.rs`); observing a flip
-    /// late changes nothing but which path one commit takes.
-    #[inline]
-    pub fn ro_commit_fast_path(&self) -> bool {
-        self.ro_fast.load(Ordering::Relaxed)
-    }
-
-    /// Enable/disable the read-only commit fast path (on by default; the
-    /// benches flip it off to measure the before/after).
-    pub fn set_ro_commit_fast_path(&self, on: bool) {
-        self.ro_fast.store(on, Ordering::Relaxed);
     }
 
     /// The quiescence-watchdog deadline in nanoseconds.

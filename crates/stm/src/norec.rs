@@ -17,8 +17,9 @@
 //! under the global commit lock and doomed transactions never write to
 //! shared memory, so the paper's quiescence machinery (and `TM_NoQuiesce`)
 //! has nothing to do here. That contrast is exactly why it makes a good
-//! ablation against `ml_wt` (`ablate_stm_algo` bench): the drain the paper
-//! optimizes is an artifact of *in-place* STMs.
+//! ablation against `ml_wt` (the `ablate-stm-algo` figure of
+//! `tle-bench emit`): the drain the paper optimizes is an artifact of
+//! *in-place* STMs.
 
 use crate::sets::{self, BufLease};
 use crate::tx::CommitInfo;

@@ -87,7 +87,7 @@ pub struct Watchdog<'a> {
     /// Shard hint for the counter (typically the draining slot).
     pub shard: usize,
     /// The committing *transaction's* retry-time budget, when it has one
-    /// (`TxHints::with_deadline` upstream). A drain that outlives it emits
+    /// (`TxRequest::deadline` upstream). A drain that outlives it emits
     /// one `DeadlineExceeded` trace event — observation only: the commit
     /// has already happened and abandoning the drain would break
     /// privatization safety, so the drain still runs to completion and the

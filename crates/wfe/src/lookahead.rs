@@ -13,8 +13,9 @@
 //! node in one short critical section, produce *outside* any lock, then
 //! mark the node ready in a second short critical section. The consumer
 //! dequeues only ready nodes. [`ReadyQueue`] implements that protocol;
-//! the `ablate_ready_flag` bench keeps the original Listing 3 shape (real
-//! locks only) to verify the refactoring did not change performance.
+//! the `ablate-ready-flag` figure of `tle-bench emit` keeps the original
+//! Listing 3 shape (real locks only) to verify the refactoring did not
+//! change performance.
 
 use tle_base::TCell;
 use tle_core::{ElidableMutex, ThreadHandle, TxCondvar};
@@ -181,8 +182,9 @@ impl<T: Send> Drop for ReadyQueue<T> {
 
 /// The paper's Listing 3 shape, expressible only with real locks: lock the
 /// queue, enqueue, run `produce` (which may take other locks), unlock.
-/// Kept for the `ablate_ready_flag` bench that reproduces the paper's
-/// claim that the ready-flag refactoring does not change performance.
+/// Kept for the `ablate-ready-flag` figure of `tle-bench emit`, which
+/// reproduces the paper's claim that the ready-flag refactoring does not
+/// change performance.
 ///
 /// # Panics
 ///

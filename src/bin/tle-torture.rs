@@ -10,6 +10,9 @@
 //! produced identical per-cause abort counts); 1 otherwise. See
 //! `tle_bench::torture` for what each phase checks.
 
+mod cli;
+
+use cli::{opt, opt_parse};
 use tle_bench::torture::{run_torture, TortureConfig};
 use tle_core::{AlgoMode, ALL_MODES};
 
@@ -130,16 +133,4 @@ fn reject_unknown_flags(args: &[String]) {
         }
         i += 1;
     }
-}
-
-fn opt(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn opt_parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    opt(args, key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }

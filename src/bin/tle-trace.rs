@@ -13,6 +13,9 @@
 //! compile to no-ops and this tool reports an empty ring rather than
 //! fabricating data.
 
+mod cli;
+
+use cli::{opt, opt_parse};
 use std::sync::Arc;
 use tle_repro::base::trace;
 use tle_repro::base::AbortCause;
@@ -80,18 +83,6 @@ fn reject_unknown_flags(args: &[String]) -> Result<(), i32> {
     Ok(())
 }
 
-fn opt(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn opt_parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    opt(args, key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn parse_mode(args: &[String]) -> Result<AlgoMode, i32> {
     match opt(args, "--mode") {
         None => Ok(AlgoMode::HtmCondvar),
@@ -116,6 +107,8 @@ fn run(args: &[String], dump: bool) -> i32 {
     let threads: usize = opt_parse(args, "--threads", 4);
     let ops: u64 = opt_parse(args, "--ops", 20_000);
     let cells: usize = opt_parse(args, "--cells", 4).max(1);
+    let tail: usize = opt_parse(args, "--tail", usize::MAX);
+    let fault_seed = opt(args, "--faults").map(|_| opt_parse::<u64>(args, "--faults", 0));
     if !trace::compiled() {
         eprintln!(
             "note: built without the `trace` feature; the event ring is a \
@@ -123,7 +116,6 @@ fn run(args: &[String], dump: bool) -> i32 {
         );
     }
 
-    let fault_seed = opt(args, "--faults").and_then(|v| v.parse::<u64>().ok());
     if let Some(seed) = fault_seed {
         tle_repro::base::fault::install(tle_bench::torture::torture_plan(seed));
     }
@@ -174,7 +166,6 @@ fn run(args: &[String], dump: bool) -> i32 {
                 events.iter().filter(|e| e.cause == Some(cause)).collect()
             }
         };
-        let tail: usize = opt_parse(args, "--tail", filtered.len());
         let skip = filtered.len().saturating_sub(tail);
         if skip > 0 {
             println!("... {skip} earlier events elided (--tail {tail}) ...");

@@ -11,6 +11,9 @@
 //! Every subcommand prints the TM statistics of its run, so the tool
 //! doubles as a quick probe of how an algorithm behaves on a workload.
 
+mod cli;
+
+use cli::{opt, opt_parse};
 use std::io::{Read, Write};
 use std::sync::Arc;
 use tle_bench::workloads::{micro_trial, Mix, TrialStats};
@@ -44,26 +47,6 @@ fn main() {
         }
     };
     std::process::exit(code);
-}
-
-/// Pull `--key value` out of an argument list.
-fn opt(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Parse `--key value`, or `default` when the flag is absent. A value that
-/// does not parse is a usage error: the flag is named and the process
-/// exits 2 rather than running a configuration nobody asked for.
-fn opt_parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    match opt(args, key) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("tle: {key}: `{v}` is not a valid value");
-            std::process::exit(2);
-        }),
-    }
 }
 
 /// Positional (non `--`) arguments.

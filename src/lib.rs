@@ -53,7 +53,7 @@ pub mod prelude {
     pub use tle_core::{
         AdaptiveConfig, AdmissionConfig, AdmissionStep, AlgoMode, ControllerHandle, ElidableMutex,
         InvalidAlgoMode, ModeSwitchEvent, ParseAlgoModeError, SwitchReason, ThreadHandle,
-        TlePolicy, TmSystem, TmSystemBuilder, TxCondvar, TxCtx, TxError, TxHints, ALL_MODES,
+        TlePolicy, TmSystem, TmSystemBuilder, TxCondvar, TxCtx, TxError, ALL_MODES,
     };
     pub use tle_stm::QuiescePolicy;
 }

@@ -1,17 +1,22 @@
-//! The `tle micro` command line: a malformed flag value is a usage error
-//! (exit 2, the flag named on stderr), never a silently substituted
-//! default configuration.
+//! The command lines of `tle micro`, `tle-torture` and `tle-trace`: a
+//! malformed flag value is a usage error (exit 2, the flag named on
+//! stderr), never a silently substituted default configuration.
 
 use std::process::{Command, Output};
 
-fn tle(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_tle"))
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
         .args(args)
         .output()
-        .expect("spawn the tle binary")
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
 }
 
-fn assert_usage_error(out: &Output, flag: &str, value: &str) {
+fn tle(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_tle"), args)
+}
+
+fn assert_usage_error(bin: &str, args: &[&str], flag: &str, value: &str) {
+    let out = run(bin, args);
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {err}");
     assert!(err.contains(flag) && err.contains(value), "stderr: {err}");
@@ -20,14 +25,42 @@ fn assert_usage_error(out: &Output, flag: &str, value: &str) {
 
 #[test]
 fn unknown_policy_exits_2_and_names_the_flag() {
-    let out = tle(&["micro", "--policy", "bogus", "--ops", "100"]);
-    assert_usage_error(&out, "--policy", "bogus");
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_tle"),
+        &["micro", "--policy", "bogus", "--ops", "100"],
+        "--policy",
+        "bogus",
+    );
 }
 
 #[test]
 fn non_numeric_threads_exit_2_and_name_the_flag() {
-    let out = tle(&["micro", "--threads", "abc", "--ops", "100"]);
-    assert_usage_error(&out, "--threads", "abc");
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_tle"),
+        &["micro", "--threads", "abc", "--ops", "100"],
+        "--threads",
+        "abc",
+    );
+}
+
+#[test]
+fn torture_non_numeric_seed_exits_2_and_names_the_flag() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_tle-torture"),
+        &["--seed", "notanumber", "--mode", "baseline"],
+        "--seed",
+        "notanumber",
+    );
+}
+
+#[test]
+fn trace_non_numeric_faults_exits_2_and_names_the_flag() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_tle-trace"),
+        &["summary", "--faults", "abc", "--ops", "100"],
+        "--faults",
+        "abc",
+    );
 }
 
 #[test]
